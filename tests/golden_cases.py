@@ -1,0 +1,139 @@
+"""Golden outputs: fixed-seed, evaluation-budget runs whose CSVs must stay
+byte-identical across refactors.
+
+Three small instance files live in `tests/golden/`.  For each of them this
+module produces:
+
+- `solve/<problem>-<method>-<params>.csv` and `...-trace.csv`: the result
+  and trace CSVs of `keyopt solve --max-evals 600` for every solver, under
+  both parameter sources (`table`, `qlearning`);
+- `bench/<problem>-<params>.csv`: the `results.csv` of an experiment over
+  all eight solvers with small BRKGA/GA/PSO populations, so that their
+  generation loops and the parameter controller run within the budget;
+
+plus `grids.txt`, the Q-learning grid of every tuned parameter record.
+
+`tests/test_golden.py` compares a fresh set with the committed one.  After a
+change that is meant to alter behaviour, rewrite the files with
+
+    PYTHONPATH=src python tests/golden_cases.py
+
+and say in the commit why they moved.
+"""
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+import instgen  # noqa: E402
+
+from keyopt.cli import main  # noqa: E402
+from keyopt.harness import ExperimentConfig, run_experiment  # noqa: E402
+from keyopt.problems import write_hubtree, write_orlib_pmed, write_partition  # noqa: E402
+from keyopt.solvers import SOLVER_NAMES, control_grid  # noqa: E402
+from keyopt.solvers.params import DEFAULT_TABLES  # noqa: E402
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+MAX_EVALS = 600
+SEED = 1
+BENCH_RUNS = 2
+BENCH_OVERRIDES = {"brkga": {"p": 20.0}, "ga": {"p": 20.0}, "pso": {"p": 10.0}}
+PARAM_SOURCES = ("table", "qlearning")
+
+# problem -> (file name, alpha)
+INSTANCES = {
+    "pmedian": ("pmedian-n20-p4.txt", 2),
+    "partition": ("partition-b8-r3.txt", 1),
+    "hubtree": ("hubtree-n8-p3.txt", 1),
+}
+
+
+def write_instances(directory=GOLDEN_DIR) -> None:
+    """The three instance files, from fixed generator seeds."""
+    rng = np.random.default_rng(20241106)
+    write_orlib_pmed(20, instgen.connected_graph_edges(rng, 20), 4,
+                     os.path.join(directory, INSTANCES["pmedian"][0]))
+    write_partition(instgen.tiny_partition(rng, b=8, r=3),
+                    os.path.join(directory, INSTANCES["partition"][0]))
+    write_hubtree(instgen.tiny_hubtree(rng, n=8, p=3),
+                  os.path.join(directory, INSTANCES["hubtree"][0]))
+
+
+def instance_path(problem: str) -> str:
+    return os.path.join(GOLDEN_DIR, INSTANCES[problem][0])
+
+
+def output_names() -> list:
+    """Every output file, relative to the golden directory."""
+    names = ["grids.txt"]
+    for problem in INSTANCES:
+        for source in PARAM_SOURCES:
+            for method in SOLVER_NAMES:
+                stem = f"solve/{problem}-{method}-{source}"
+                names += [f"{stem}.csv", f"{stem}-trace.csv"]
+            names.append(f"bench/{problem}-{source}.csv")
+    return names
+
+
+def write_grids(path) -> None:
+    with open(path, "w") as fh:
+        for table, records in DEFAULT_TABLES.items():
+            for solver in SOLVER_NAMES:
+                grid = control_grid(solver, records[solver])
+                fh.write(f"{table} {solver} {grid.names!r} {grid.values!r} {grid.initial!r}\n")
+
+
+def write_solve(problem: str, method: str, source: str, stem: str) -> None:
+    _, alpha = INSTANCES[problem]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            "solve", "--problem", problem, "--instance", instance_path(problem),
+            "--alpha", str(alpha), "--method", method, "--max-evals", str(MAX_EVALS),
+            "--seed", str(SEED), "--params", source,
+            "--out", f"{stem}.csv", "--trace", f"{stem}-trace.csv",
+        ])
+    if code != 0:
+        raise RuntimeError(f"solve {problem}/{method}/{source} exited with {code}")
+
+
+def write_bench(problem: str, source: str, path, scratch) -> None:
+    _, alpha = INSTANCES[problem]
+    config = ExperimentConfig(
+        problem=problem, instances=[instance_path(problem)], methods=list(SOLVER_NAMES),
+        runs=BENCH_RUNS, max_evals=MAX_EVALS, seed=SEED, output_dir=scratch,
+        alpha=alpha, params_mode=source,
+        overrides={k: dict(v) for k, v in BENCH_OVERRIDES.items()},
+    )
+    report = run_experiment(config)
+    if report.failures:
+        raise RuntimeError(f"bench {problem}/{source} failed: {report.failures}")
+    shutil.copyfile(report.files["results"], path)
+
+
+def write_outputs(directory) -> None:
+    """Every output file under `directory`, from the committed instances."""
+    os.makedirs(os.path.join(directory, "solve"), exist_ok=True)
+    os.makedirs(os.path.join(directory, "bench"), exist_ok=True)
+    write_grids(os.path.join(directory, "grids.txt"))
+    with tempfile.TemporaryDirectory() as scratch:
+        for problem in INSTANCES:
+            for source in PARAM_SOURCES:
+                for method in SOLVER_NAMES:
+                    write_solve(problem, method, source,
+                                os.path.join(directory, f"solve/{problem}-{method}-{source}"))
+                write_bench(problem, source,
+                            os.path.join(directory, f"bench/{problem}-{source}.csv"), scratch)
+
+
+if __name__ == "__main__":
+    if not os.path.isfile(instance_path("pmedian")):
+        write_instances()
+    write_outputs(GOLDEN_DIR)
+    print(f"wrote {len(output_names())} files under {GOLDEN_DIR}")

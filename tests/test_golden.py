@@ -1,0 +1,17 @@
+"""Byte-for-byte comparison of fresh fixed-seed runs with the committed
+golden files (see golden_cases.py for what they hold and how to rewrite
+them)."""
+
+import os
+
+import golden_cases
+
+
+def test_golden_outputs_are_byte_identical(tmp_path):
+    golden_cases.write_outputs(str(tmp_path))
+    differing = []
+    for name in golden_cases.output_names():
+        with open(os.path.join(golden_cases.GOLDEN_DIR, name), "rb") as fh:
+            if (tmp_path / name).read_bytes() != fh.read():
+                differing.append(name)
+    assert not differing, f"{len(differing)} golden files differ: {differing}"
