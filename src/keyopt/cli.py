@@ -9,25 +9,21 @@ import argparse
 import os
 import sys
 
-from .core import EvalTally, RngStream, TimeBudget
 from .harness import (
     RESULTS_HEADER,
-    ExperimentConfig,
     ResultRow,
-    default_time_limit,
     parse_config,
     profile_csv_from_rows,
     read_bks,
     read_results,
     run_experiment,
-    solver_params,
+    run_method,
+    time_limit,
     wilcoxon_csv_from_rows,
     write_traces,
 )
-from .pool import init_pool
 from .problems import brute_force, load_instance, make_decoder
-from .qlearning import QController
-from .solvers import SOLVER_NAMES, SOLVERS, control_grid, run_portfolio
+from .solvers import SOLVER_NAMES, defaults_for
 
 
 def _add_instance_args(parser):
@@ -41,33 +37,12 @@ def _add_instance_args(parser):
 def _cmd_solve(args) -> int:
     instance = load_instance(args.problem, args.instance, alpha=args.alpha)
     decoder = make_decoder(args.problem, instance)
-    seconds = args.time
-    if seconds is None and args.max_evals is None:
-        seconds = default_time_limit(args.problem, instance)
-
-    params = solver_params_from_args(args)
-    q_control = args.params == "qlearning"
-    trace_results = None
-    if args.method == "portfolio":
-        outcome = run_portfolio(
-            decoder, list(SOLVER_NAMES), params, args.seed,
-            seconds=seconds, max_evals=args.max_evals,
-            pool_capacity=args.pool_size, q_control=q_control,
-        )
-        result = outcome.best
-        trace_results = [outcome.best, *outcome.per_solver.values()]
-    else:
-        budget = TimeBudget(seconds=seconds, max_evals=args.max_evals)
-        pool = init_pool(args.pool_size, decoder, RngStream(args.seed, 0), budget=budget)
-        rng = RngStream(args.seed, 1)
-        controller = (
-            QController(control_grid(args.method, params[args.method]), rng)
-            if q_control else None
-        )
-        result = SOLVERS[args.method](
-            decoder, params[args.method], pool, rng, budget,
-            tally=EvalTally(), controller=controller,
-        )
+    results = run_method(
+        decoder, args.method, defaults_for(args.problem), args.seed,
+        time_limit(args.problem, instance, args.time, args.max_evals),
+        args.max_evals, args.pool_size, args.params == "qlearning",
+    )
+    result = results[0]
 
     _, artifact = decoder.decode(result.best_keys)
     clock_unit = "evals" if args.time is None and args.max_evals is not None else "s"
@@ -89,16 +64,8 @@ def _cmd_solve(args) -> int:
             fh.write(RESULTS_HEADER + ",solution\n")
             fh.write(row.csv() + f",\"{artifact}\"\n")
     if args.trace:
-        write_traces(trace_results if trace_results else [result], args.trace)
+        write_traces(results, args.trace)
     return 0
-
-
-def solver_params_from_args(args):
-    config = ExperimentConfig(
-        problem=args.problem, instances=[], methods=[args.method],
-        seed=args.seed, alpha=args.alpha, params_mode=args.params,
-    )
-    return solver_params(config)
 
 
 def _cmd_bench(args) -> int:

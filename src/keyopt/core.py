@@ -131,10 +131,6 @@ def clamp_keys(keys: np.ndarray) -> np.ndarray:
     return np.clip(keys, 0.0, KEY_MAX)
 
 
-def clamp_key(x: float) -> float:
-    return min(max(x, 0.0), KEY_MAX)
-
-
 def mirror_key(x: float) -> float:
     """Complement 1 - x, kept inside [0, 1)."""
     return min(1.0 - x, KEY_MAX)
@@ -201,8 +197,3 @@ class TimeBudget:
         if self.seconds is not None and time.monotonic() - self._start >= self.seconds:
             return True
         return False
-
-    @property
-    def total_notional(self) -> float:
-        """Budget length in the units elapsed() reports."""
-        return float(self.max_evals) if self.virtual else float(self.seconds)

@@ -8,12 +8,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .core import EvalTally, RngStream, TimeBudget
 from .metrics import performance_profile, rpd, wilcoxon_one_sided
-from .pool import init_pool
 from .problems import load_instance, make_decoder
-from .qlearning import QController
-from .solvers import SOLVERS, SOLVER_NAMES, control_grid, defaults_for, run_portfolio, with_overrides
+from .solvers import SOLVER_NAMES, defaults_for, run_portfolio, with_overrides
 
 # Relative tolerance when calling an objective equal to the best-known value.
 BKS_MATCH_TOL = 1e-9
@@ -83,6 +80,15 @@ def default_time_limit(problem_id: str, instance) -> float:
     raise ValueError(f"no time-limit rule for problem {problem_id}")
 
 
+def time_limit(problem_id: str, instance, seconds: float | None,
+               max_evals: int | None) -> float | None:
+    """A run's wall-clock limit: `seconds` when given, the per-problem rule
+    when neither limit is given, and none for an evaluation budget alone."""
+    if seconds is None and max_evals is None:
+        return default_time_limit(problem_id, instance)
+    return seconds
+
+
 def cell_seed(master_seed: int, instance_name: str, method: str, run: int) -> int:
     """Stable 64-bit seed per cell; adding instances or methods never shifts
     the seeds of other cells."""
@@ -100,6 +106,25 @@ def solver_params(config: ExperimentConfig) -> dict:
     return params
 
 
+def run_method(decoder, method: str, params: dict, seed: int, seconds: float | None,
+               max_evals: int | None, pool_capacity: int, q_control: bool) -> list:
+    """Run one method, "portfolio" or a single solver, on a decoder.
+
+    Both go through the portfolio runner; a single solver is a one-member
+    portfolio.  Returns the method's RunResult first, followed for the
+    portfolio by each member's.
+    """
+    methods = list(SOLVER_NAMES) if method == "portfolio" else [method]
+    outcome = run_portfolio(
+        decoder, methods, params, seed,
+        seconds=seconds, max_evals=max_evals,
+        pool_capacity=pool_capacity, q_control=q_control,
+    )
+    if method == "portfolio":
+        return [outcome.best, *outcome.per_solver.values()]
+    return [outcome.per_solver[method]]
+
+
 def run_cell(
     problem_id: str,
     decoder,
@@ -112,23 +137,8 @@ def run_cell(
     q_control: bool,
 ):
     """One (instance, method, run) execution; returns a RunResult."""
-    if method == "portfolio":
-        outcome = run_portfolio(
-            decoder, list(SOLVER_NAMES), params, seed,
-            seconds=seconds, max_evals=max_evals,
-            pool_capacity=pool_capacity, q_control=q_control,
-        )
-        return outcome.best
-    if method not in SOLVERS:
-        raise ValueError(f"unknown method: {method}")
-    budget = TimeBudget(seconds=seconds, max_evals=max_evals)
-    pool = init_pool(pool_capacity, decoder, RngStream(seed, 0), budget=budget)
-    rng = RngStream(seed, 1)
-    controller = QController(control_grid(method, params[method]), rng) if q_control else None
-    return SOLVERS[method](
-        decoder, params[method], pool, rng, budget,
-        tally=EvalTally(), controller=controller,
-    )
+    return run_method(decoder, method, params, seed, seconds, max_evals,
+                      pool_capacity, q_control)[0]
 
 
 @dataclass
@@ -156,9 +166,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         except Exception as exc:  # noqa: BLE001 - recorded, run continues
             failures.append((name, str(exc)))
             continue
-        seconds = config.time_limit
-        if seconds is None and config.max_evals is None:
-            seconds = default_time_limit(config.problem, instance)
+        seconds = time_limit(config.problem, instance, config.time_limit, config.max_evals)
         for method in config.methods:
             for run in range(config.runs):
                 cells.append((name, decoder, method, run, seconds))
@@ -329,11 +337,6 @@ def wilcoxon_csv_from_rows(rows, bks: dict | None, path) -> bool:
                     cells.append(repr(res.p_value))
             fh.write(",".join(cells) + "\n")
     return True
-
-
-def write_trace(result, path) -> None:
-    """Improvement trace rows: solver, budget-clock seconds, objective."""
-    write_traces([result], path)
 
 
 def write_traces(results, path) -> None:

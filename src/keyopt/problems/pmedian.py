@@ -43,12 +43,6 @@ class PMedianInstance:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def with_alpha(self, alpha: int) -> "PMedianInstance":
-        return dataclasses.replace(self, alpha=alpha)
-
-    def with_p(self, p: int) -> "PMedianInstance":
-        return dataclasses.replace(self, p=p)
-
 
 def assignment_cost(dist, open_facilities, alpha: int) -> float:
     """Total distance from every vertex to its alpha nearest open

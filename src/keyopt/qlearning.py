@@ -165,9 +165,6 @@ class QController:
         t_cur = min(max(t_cur, 0.0), RESTART_FRACTION)
         return epsilon(t_cur, RESTART_FRACTION, i)
 
-    def current_config(self) -> dict:
-        return self.grid.config(self.state)
-
     def select(self, progress: float = 0.0) -> dict:
         """Pick the next action and return the configuration it leads to."""
         if self.grid.num_states == 1:
@@ -190,11 +187,6 @@ class QController:
         self.state = nxt
         self._pending = None
 
-    def step(self, f_prev_best: float, f_new_best: float, progress: float = 0.0) -> dict:
-        """Observe the finished iteration and select for the next one."""
-        self.observe(f_prev_best, f_new_best, progress)
-        return self.select(progress)
-
     def dump(self, path) -> None:
         """Q-table as CSV rows: state, action, Q."""
         with open(path, "w") as fh:
@@ -209,11 +201,11 @@ class QController:
 
 def three_point_values(center: float, lo: float | None = None, hi: float | None = None,
                        integer: bool = False) -> tuple[float, ...]:
-    """Value list {0.5x, 1x, 1.5x} around a tuned center, clipped to
-    [lo, hi] and deduplicated."""
-    vals = [0.5 * center, center, 1.5 * center]
-    out = []
-    for v in vals:
+    """Sorted, deduplicated value list {0.5x, x, 1.5x} around a tuned
+    center.  The outer points are clipped to [lo, hi] (and rounded when
+    `integer`); the center is kept as given, so it is always on the list."""
+    out = [center]
+    for v in (0.5 * center, 1.5 * center):
         if lo is not None:
             v = max(lo, v)
         if hi is not None:

@@ -16,7 +16,7 @@ from .params import (
     with_overrides,
 )
 from .population import brkga_partition, pso_move, run_brkga, run_ga, run_pso
-from .portfolio import SOLVERS, PortfolioResult, default_params, run_portfolio
+from .portfolio import SOLVERS, PortfolioResult, run_portfolio
 from .trajectory import lns_repair, run_grasp, run_ils, run_lns, run_sa, run_vns
 
 __all__ = [
@@ -48,6 +48,5 @@ __all__ = [
     "run_lns",
     "lns_repair",
     "PortfolioResult",
-    "default_params",
     "run_portfolio",
 ]

@@ -1,13 +1,16 @@
 """Shared solver plumbing: run results, best-so-far tracking with pool
-offers, and the Metropolis acceptance rule."""
+offers, the per-run context every driver runs in, and the Metropolis
+acceptance rule."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import EvalTally, Fitness, TimeBudget
+from ..core import Decoder, EvalTally, Fitness, TimeBudget, evaluate
 from ..pool import ElitePool
+from ..qlearning import QController
+from .params import with_overrides
 
 # Reheat threshold: cooling below this resets the temperature to its start
 # value so a wall-clock run keeps exploring.
@@ -68,6 +71,57 @@ class BestTracker:
             evaluations=self.tally.count,
             trace=list(self.trace),
         )
+
+
+class SolverRun:
+    """One driver run: its evaluation tally, its best-so-far tracker and its
+    parameter controller.
+
+    `iterations()` drives the outer loop.  Each step yields the parameter
+    record to use; with a controller attached, that record is the
+    controller's selection, and the controller is credited with the change
+    of the best objective when the step ends.
+    """
+
+    def __init__(self, decoder: Decoder, params, pool: ElitePool | None, budget: TimeBudget,
+                 tally: EvalTally | None = None, controller: QController | None = None):
+        self.decoder = decoder
+        self.params = params
+        self.budget = budget
+        self.tally = tally if tally is not None else EvalTally()
+        self.tracker = BestTracker(budget, self.tally, pool)
+        self.controller = controller
+
+    def evaluate(self, keys: np.ndarray) -> Fitness:
+        """Decode `keys`, counting the call, and offer them to the tracker."""
+        fit = evaluate(self.decoder, keys, self.tally)
+        self.tracker.consider(keys, fit)
+        return fit
+
+    def expired(self) -> bool:
+        return self.budget.expired(self.tally.count)
+
+    def iterations(self):
+        """Parameter records, one per outer iteration, until the budget
+        expires.  A step that makes no decoder call ends the run: under an
+        evaluation-only budget it would repeat forever."""
+        while not self.expired():
+            prev_best = self.tracker.best_objective
+            evals_before = self.tally.count
+            params = self.params
+            if self.controller is not None:
+                params = with_overrides(params, self.controller.select(self._progress()))
+            yield params
+            if self.controller is not None:
+                self.controller.observe(prev_best, self.tracker.best_objective, self._progress())
+            if self.tally.count == evals_before:
+                return
+
+    def _progress(self) -> float:
+        return self.budget.progress(self.tally.count)
+
+    def result(self, solver: str) -> RunResult:
+        return self.tracker.result(solver)
 
 
 def metropolis_accept(delta: float, temperature: float, rng) -> bool:

@@ -1,149 +1,122 @@
 """Per-metaheuristic parameter records, the tuned defaults for the three
-shipped applications, and helpers to build parameter-control grids."""
+shipped applications, and the parameter-control grids derived from them.
+
+Each parameter is declared once, as a record field made by `param`: its
+default, its validity interval, whether it is an integer, and the range its
+Q-learning grid points are clipped to.  Record validation, override casting
+and `control_grid` all read that declaration; only rules that tie two fields
+together are written by hand.
+"""
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 from ..qlearning import ParameterGrid, three_point_values
 
 
-def _check_fraction(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+def param(default, valid: str, grid: tuple | None = None, integer: bool = False):
+    """A parameter field.  `valid` is the validity interval in interval
+    notation, e.g. "(0.5, 1]"; `grid` is the (lo, hi) range the controller's
+    outer grid points are clipped to (None for an open side), or None when
+    the controller leaves the parameter alone."""
+    lo, hi = (float(end) for end in valid[1:-1].split(","))
+    bounds = (lo, hi, valid[0] == "(", valid[-1] == ")")
+    return dataclasses.field(
+        default=default,
+        metadata={"valid": valid, "bounds": bounds, "grid": grid, "integer": integer},
+    )
 
 
-def _check_positive(name, value):
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+class _Record:
+    """Validation of every field against its declared interval."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            lo, hi, lo_open, hi_open = f.metadata["bounds"]
+            above = lo < value if lo_open else lo <= value
+            below = value < hi if hi_open else value <= hi
+            if not (above and below):
+                raise ValueError(f"{f.name} must be in {f.metadata['valid']}, got {value}")
+
+
+POSITIVE = "(0, inf)"
+FRACTION = "[0, 1]"
+COOLING = "(0, 1)"
 
 
 @dataclass(frozen=True)
-class BrkgaParams:
-    p: int = 1597
-    pe: float = 0.10
-    pm: float = 0.20
-    rho: float = 0.70
+class BrkgaParams(_Record):
+    p: int = param(1597, POSITIVE, grid=(4, None), integer=True)
+    pe: float = param(0.10, "[0, 0.5)", grid=(0.01, 0.49))  # keeps pe*p < p/2
+    pm: float = param(0.20, FRACTION, grid=(0.0, 0.49))
+    rho: float = param(0.70, "(0.5, 1]", grid=(0.51, 1.0))
 
     def __post_init__(self):
-        _check_positive("p", self.p)
-        _check_fraction("pe", self.pe)
-        _check_fraction("pm", self.pm)
-        if self.pe >= 0.5:
-            raise ValueError(f"elite fraction must keep pe*p < p/2, got {self.pe}")
+        super().__post_init__()
         if self.pm >= 1.0 - self.pe:
             raise ValueError(f"mutant fraction must keep pm*p < p - pe*p, got {self.pm}")
-        if not 0.5 < self.rho <= 1.0:
-            raise ValueError(f"inherit probability must be in (0.5, 1], got {self.rho}")
 
 
 @dataclass(frozen=True)
-class GaParams:
-    p: int = 1000
-    pc: float = 0.85
-    mu: float = 0.03
-
-    def __post_init__(self):
-        _check_positive("p", self.p)
-        _check_fraction("pc", self.pc)
-        _check_fraction("mu", self.mu)
+class GaParams(_Record):
+    p: int = param(1000, POSITIVE, grid=(4, None), integer=True)
+    pc: float = param(0.85, FRACTION, grid=(0.0, 1.0))
+    mu: float = param(0.03, FRACTION, grid=(0.0, 1.0))
 
 
 @dataclass(frozen=True)
-class SaParams:
-    t0: float = 10000.0
-    sa_max: int = 100
-    alpha: float = 0.99
-    beta_min: float = 0.10
-    beta_max: float = 0.20
-
-    def __post_init__(self):
-        _check_positive("t0", self.t0)
-        _check_positive("sa_max", self.sa_max)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"cooling rate must be in (0, 1), got {self.alpha}")
-        _check_fraction("beta_min", self.beta_min)
-        _check_fraction("beta_max", self.beta_max)
+class SaParams(_Record):
+    t0: float = param(10000.0, POSITIVE, grid=(1e-3, None))
+    sa_max: int = param(100, POSITIVE, grid=(1, None), integer=True)
+    alpha: float = param(0.99, COOLING, grid=(0.01, 0.999))
+    beta_min: float = param(0.10, FRACTION, grid=(0.0, 1.0))
+    beta_max: float = param(0.20, FRACTION, grid=(0.0, 1.0))
 
 
 @dataclass(frozen=True)
-class GraspParams:
-    hs: float = 0.125
-    he: float = 0.00012
-    t0: float = 10000.0
-    alpha: float = 0.99
+class GraspParams(_Record):
+    hs: float = param(0.125, "(0, 1]", grid=(1e-5, 1.0))
+    he: float = param(0.00012, "(0, 1]", grid=(1e-7, 1.0))
+    t0: float = param(10000.0, POSITIVE)
+    alpha: float = param(0.99, COOLING)
 
     def __post_init__(self):
-        if not 0.0 < self.hs <= 1.0:
-            raise ValueError(f"start grid spacing must be in (0, 1], got {self.hs}")
-        if not 0.0 < self.he <= self.hs:
+        super().__post_init__()
+        if self.he > self.hs:
             raise ValueError(f"end grid spacing must be in (0, hs], got {self.he}")
-        _check_positive("t0", self.t0)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"cooling rate must be in (0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
-class IlsParams:
-    beta_min: float = 0.15
-    beta_max: float = 0.40
-
-    def __post_init__(self):
-        _check_fraction("beta_min", self.beta_min)
-        _check_fraction("beta_max", self.beta_max)
+class IlsParams(_Record):
+    beta_min: float = param(0.15, FRACTION, grid=(0.0, 1.0))
+    beta_max: float = param(0.40, FRACTION, grid=(0.0, 1.0))
 
 
 @dataclass(frozen=True)
-class VnsParams:
-    beta_min: float = 0.05
-    k_max: int = 6
-
-    def __post_init__(self):
-        _check_fraction("beta_min", self.beta_min)
-        _check_positive("k_max", self.k_max)
+class VnsParams(_Record):
+    beta_min: float = param(0.05, FRACTION, grid=(0.0, 1.0))
+    k_max: int = param(6, POSITIVE, grid=(1, None), integer=True)
 
 
 @dataclass(frozen=True)
-class PsoParams:
-    p: int = 100
-    c1: float = 2.05
-    c2: float = 2.05
-    w: float = 0.73
-
-    def __post_init__(self):
-        _check_positive("p", self.p)
-        _check_positive("c1", self.c1)
-        _check_positive("c2", self.c2)
-        if self.w < 0:
-            raise ValueError(f"inertia weight must be >= 0, got {self.w}")
+class PsoParams(_Record):
+    p: int = param(100, POSITIVE, grid=(2, None), integer=True)
+    c1: float = param(2.05, POSITIVE, grid=(0.01, None))
+    c2: float = param(2.05, POSITIVE, grid=(0.01, None))
+    w: float = param(0.73, "[0, inf)", grid=(0.0, 1.0))
 
 
 @dataclass(frozen=True)
-class LnsParams:
-    t0: float = 1000.0
-    alpha: float = 0.90
-    beta_min: float = 0.10
-    beta_max: float = 0.30
-
-    def __post_init__(self):
-        _check_positive("t0", self.t0)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"cooling rate must be in (0, 1), got {self.alpha}")
-        _check_fraction("beta_min", self.beta_min)
-        _check_fraction("beta_max", self.beta_max)
+class LnsParams(_Record):
+    t0: float = param(1000.0, POSITIVE, grid=(1e-3, None))
+    alpha: float = param(0.90, COOLING, grid=(0.01, 0.999))
+    beta_min: float = param(0.10, FRACTION, grid=(0.0, 1.0))
+    beta_max: float = param(0.30, FRACTION, grid=(0.0, 1.0))
 
 
 SOLVER_NAMES = ("brkga", "ga", "sa", "grasp", "ils", "vns", "pso", "lns")
-
-PARAM_TYPES = {
-    "brkga": BrkgaParams,
-    "ga": GaParams,
-    "sa": SaParams,
-    "grasp": GraspParams,
-    "ils": IlsParams,
-    "vns": VnsParams,
-    "pso": PsoParams,
-    "lns": LnsParams,
-}
 
 # Tuned parameter sets per shipped application.
 _PMEDIAN = {
@@ -192,81 +165,52 @@ def defaults_for(problem_id: str) -> dict:
     return dict(DEFAULT_TABLES.get(problem_id, _PMEDIAN))
 
 
-_INT_FIELDS = {"p", "sa_max", "k_max"}
-
-
 def with_overrides(params, overrides: dict):
-    """Copy of a parameter record with some fields replaced; integer fields
-    are rounded."""
-    clean = {}
-    for key, value in overrides.items():
-        clean[key] = max(1, round(value)) if key in _INT_FIELDS else value
-    return dataclasses.replace(params, **clean)
+    """Copy of a parameter record with some fields replaced.  Integer fields
+    are rounded to the nearest integer; the copy is validated like any
+    record, and a name that is not a field raises ValueError."""
+    fields = {f.name: f for f in dataclasses.fields(params)}
+    unknown = sorted(set(overrides) - set(fields))
+    if unknown:
+        solver = type(params).__name__.removesuffix("Params").lower()
+        raise ValueError(f"unknown {solver} parameter(s) {unknown}; "
+                         f"{solver} has {list(fields)}")
+    return dataclasses.replace(params, **{
+        key: round(value) if fields[key].metadata["integer"] else value
+        for key, value in overrides.items()
+    })
 
 
 def control_grid(solver: str, params) -> ParameterGrid:
-    """Three-point parameter grid centered on the tuned values, clipped to
-    each field's validity range."""
-    if solver == "brkga":
-        spec = {
-            "p": three_point_values(params.p, lo=4, integer=True),
-            "pe": three_point_values(params.pe, lo=0.01, hi=0.49),
-            "pm": three_point_values(params.pm, lo=0.0, hi=0.49),
-            "rho": three_point_values(params.rho, lo=0.51, hi=1.0),
-        }
-        initial = {"p": params.p, "pe": params.pe, "pm": params.pm, "rho": params.rho}
-    elif solver == "ga":
-        spec = {
-            "p": three_point_values(params.p, lo=4, integer=True),
-            "pc": three_point_values(params.pc, lo=0.0, hi=1.0),
-            "mu": three_point_values(params.mu, lo=0.0, hi=1.0),
-        }
-        initial = {"p": params.p, "pc": params.pc, "mu": params.mu}
-    elif solver == "sa":
-        spec = {
-            "t0": three_point_values(params.t0, lo=1e-3),
-            "sa_max": three_point_values(params.sa_max, lo=1, integer=True),
-            "alpha": three_point_values(params.alpha, lo=0.01, hi=0.999),
-            "beta_min": three_point_values(params.beta_min, lo=0.0, hi=1.0),
-            "beta_max": three_point_values(params.beta_max, lo=0.0, hi=1.0),
-        }
-        initial = {"t0": params.t0, "sa_max": params.sa_max, "alpha": params.alpha,
-                   "beta_min": params.beta_min, "beta_max": params.beta_max}
-    elif solver == "grasp":
-        spec = {
-            "hs": three_point_values(params.hs, lo=1e-5, hi=1.0),
-            "he": three_point_values(params.he, lo=1e-7, hi=1.0),
-        }
-        initial = {"hs": params.hs, "he": params.he}
-    elif solver == "ils":
-        spec = {
-            "beta_min": three_point_values(params.beta_min, lo=0.0, hi=1.0),
-            "beta_max": three_point_values(params.beta_max, lo=0.0, hi=1.0),
-        }
-        initial = {"beta_min": params.beta_min, "beta_max": params.beta_max}
-    elif solver == "vns":
-        spec = {
-            "beta_min": three_point_values(params.beta_min, lo=0.0, hi=1.0),
-            "k_max": three_point_values(params.k_max, lo=1, integer=True),
-        }
-        initial = {"beta_min": params.beta_min, "k_max": params.k_max}
-    elif solver == "pso":
-        spec = {
-            "p": three_point_values(params.p, lo=2, integer=True),
-            "c1": three_point_values(params.c1, lo=0.01),
-            "c2": three_point_values(params.c2, lo=0.01),
-            "w": three_point_values(params.w, lo=0.0, hi=1.0),
-        }
-        initial = {"p": params.p, "c1": params.c1, "c2": params.c2, "w": params.w}
-    elif solver == "lns":
-        spec = {
-            "t0": three_point_values(params.t0, lo=1e-3),
-            "alpha": three_point_values(params.alpha, lo=0.01, hi=0.999),
-            "beta_min": three_point_values(params.beta_min, lo=0.0, hi=1.0),
-            "beta_max": three_point_values(params.beta_max, lo=0.0, hi=1.0),
-        }
-        initial = {"t0": params.t0, "alpha": params.alpha,
-                   "beta_min": params.beta_min, "beta_max": params.beta_max}
-    else:
+    """Three-point grid {0.5x, x, 1.5x} over every field with a grid range,
+    centred on the record's values, in field order.
+
+    The centre is always kept; the outer points are clipped to the field's
+    grid range.  An outer point joins the grid only when every configuration
+    it forms with the points admitted before it is a valid record, so rules
+    between fields hold for every configuration the controller can pick.
+    """
+    if solver not in SOLVER_NAMES:
         raise ValueError(f"unknown solver: {solver}")
-    return ParameterGrid.from_dict(spec, initial=initial)
+    controlled = [f for f in dataclasses.fields(params) if f.metadata["grid"] is not None]
+    centre = {f.name: getattr(params, f.name) for f in controlled}
+    admitted = {name: [value] for name, value in centre.items()}
+    for f in controlled:
+        lo, hi = f.metadata["grid"]
+        for value in three_point_values(centre[f.name], lo, hi, f.metadata["integer"]):
+            if value != centre[f.name] and _always_valid(params, admitted, f.name, value):
+                admitted[f.name].append(value)
+    spec = {name: sorted(values) for name, values in admitted.items()}
+    return ParameterGrid.from_dict(spec, initial=centre)
+
+
+def _always_valid(params, admitted: dict, name: str, value) -> bool:
+    """Whether `name = value` makes a valid record with every combination of
+    the other fields' admitted points."""
+    others = [key for key in admitted if key != name]
+    for combo in itertools.product(*(admitted[key] for key in others)):
+        try:
+            dataclasses.replace(params, **dict(zip(others, combo)), **{name: value})
+        except ValueError:
+            return False
+    return True

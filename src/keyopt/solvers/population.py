@@ -4,21 +4,12 @@ optimization."""
 
 import numpy as np
 
-from ..core import (
-    Decoder,
-    EvalTally,
-    RngStream,
-    TimeBudget,
-    clamp_keys,
-    evaluate,
-    random_vector,
-)
+from ..core import Decoder, EvalTally, RngStream, TimeBudget, clamp_keys, random_vector
 from ..local_search import rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
 from ..variation import BlendParams, blend
-from .base import BestTracker, RunResult, round_half_up
-from .params import with_overrides
+from .base import RunResult, SolverRun, round_half_up
 
 
 def brkga_partition(p: int, pe: float, pm: float) -> tuple[int, int, int]:
@@ -32,15 +23,18 @@ def brkga_partition(p: int, pe: float, pm: float) -> tuple[int, int, int]:
     return n_elite, n_mutant, p - n_elite - n_mutant
 
 
-def _init_population(size, decoder, rng, tally, tracker, budget):
+def _random_member(run: SolverRun, rng):
+    keys = random_vector(run.decoder.dimension, rng)
+    return keys, run.evaluate(keys)
+
+
+def _init_population(run: SolverRun, size, rng):
     pop, fits = [], []
     for _ in range(size):
-        keys = random_vector(decoder.dimension, rng)
-        fit = evaluate(decoder, keys, tally)
-        tracker.consider(keys, fit)
+        keys, fit = _random_member(run, rng)
         pop.append(keys)
         fits.append(fit)
-        if budget.expired(tally.count):
+        if run.expired():
             break
     return pop, fits
 
@@ -50,23 +44,15 @@ def _sorted_population(pop, fits):
     return [pop[i] for i in order], [fits[i] for i in order]
 
 
-def _resize_population(pop, fits, target, decoder, rng, tally, tracker, budget):
+def _resize_population(run: SolverRun, pop, fits, target, rng):
     """Grow with fresh random vectors or truncate the (sorted) tail."""
     if target < len(pop):
         return pop[:target], fits[:target]
-    while len(pop) < target and not budget.expired(tally.count):
-        keys = random_vector(decoder.dimension, rng)
-        fit = evaluate(decoder, keys, tally)
-        tracker.consider(keys, fit)
+    while len(pop) < target and not run.expired():
+        keys, fit = _random_member(run, rng)
         pop.append(keys)
         fits.append(fit)
     return pop, fits
-
-
-def _controlled_params(params, controller, budget, tally):
-    if controller is None:
-        return params
-    return with_overrides(params, controller.select(budget.progress(tally.count)))
 
 
 def run_brkga(
@@ -81,17 +67,14 @@ def run_brkga(
     """Generational loop copying the elite block, injecting mutants, and
     filling the rest with elite-biased uniform crossover; every new
     generation best is intensified with RVND."""
-    tally = tally if tally is not None else EvalTally()
-    tracker = BestTracker(budget, tally, pool)
-    pop, fits = _init_population(params.p, decoder, rng, tally, tracker, budget)
+    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    pop, fits = _init_population(run, params.p, rng)
     pop, fits = _sorted_population(pop, fits)
 
-    while not budget.expired(tally.count):
-        prev_best = tracker.best_objective
-        evals_before = tally.count
-        p = _controlled_params(params, controller, budget, tally)
+    for p in run.iterations():
+        prev_best = run.tracker.best_objective
         if p.p != len(pop):
-            pop, fits = _resize_population(pop, fits, p.p, decoder, rng, tally, tracker, budget)
+            pop, fits = _resize_population(run, pop, fits, p.p, rng)
             pop, fits = _sorted_population(pop, fits)
         n_elite, n_mutant, n_offspring = brkga_partition(len(pop), p.pe, p.pm)
         crossover = BlendParams(rho=p.rho, mu=0.0, factor=1)
@@ -99,40 +82,31 @@ def run_brkga(
         new_pop = pop[:n_elite]
         new_fits = fits[:n_elite]
         for _ in range(n_mutant):
-            if budget.expired(tally.count):
+            if run.expired():
                 break
-            keys = random_vector(decoder.dimension, rng)
-            fit = evaluate(decoder, keys, tally)
-            tracker.consider(keys, fit)
+            keys, fit = _random_member(run, rng)
             new_pop.append(keys)
             new_fits.append(fit)
         for _ in range(n_offspring):
-            if budget.expired(tally.count):
+            if run.expired():
                 break
             elite = pop[rng.integers(0, n_elite)]
             other = pop[rng.integers(0, len(pop))]
             child = blend(elite, other, crossover, rng)
-            fit = evaluate(decoder, child, tally)
-            tracker.consider(child, fit)
             new_pop.append(child)
-            new_fits.append(fit)
+            new_fits.append(run.evaluate(child))
         pop, fits = _sorted_population(new_pop, new_fits)
 
+        tracker = run.tracker
         if tracker.best_objective < prev_best:
             improved, improved_fit = rvnd(
-                tracker.best_keys, decoder, pool, rng, tracker.best_fitness, tally, budget
+                tracker.best_keys, decoder, pool, rng, tracker.best_fitness, run.tally, budget
             )
             tracker.consider(improved, improved_fit)
             pop[-1] = improved
             fits[-1] = improved_fit
             pop, fits = _sorted_population(pop, fits)
-        if controller is not None:
-            controller.observe(prev_best, tracker.best_objective, budget.progress(tally.count))
-        if tally.count == evals_before:
-            # Degenerate all-elite generation; an evaluation-only budget
-            # would never expire.
-            break
-    return tracker.result("brkga")
+    return run.result("brkga")
 
 
 def _tournament(fits, rng: RngStream) -> int:
@@ -153,22 +127,19 @@ def run_ga(
 ) -> RunResult:
     """Tournament selection, blending crossover with probability pc (parents
     are copied otherwise), elitism, and RVND on each generation's best."""
-    tally = tally if tally is not None else EvalTally()
-    tracker = BestTracker(budget, tally, pool)
-    pop, fits = _init_population(params.p, decoder, rng, tally, tracker, budget)
+    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    pop, fits = _init_population(run, params.p, rng)
 
-    while not budget.expired(tally.count):
-        prev_best = tracker.best_objective
-        p = _controlled_params(params, controller, budget, tally)
+    for p in run.iterations():
         if p.p != len(pop):
             pop, fits = _sorted_population(pop, fits)
-            pop, fits = _resize_population(pop, fits, p.p, decoder, rng, tally, tracker, budget)
+            pop, fits = _resize_population(run, pop, fits, p.p, rng)
         crossover = BlendParams(rho=0.5, mu=p.mu, factor=1)
 
         elite_idx = min(range(len(pop)), key=lambda i: fits[i].objective)
         new_pop = [pop[elite_idx]]
         new_fits = [fits[elite_idx]]
-        while len(new_pop) < len(pop) and not budget.expired(tally.count):
+        while len(new_pop) < len(pop) and not run.expired():
             a = _tournament(fits, rng)
             b = _tournament(fits, rng)
             if rng.random() < p.pc:
@@ -176,10 +147,8 @@ def run_ga(
                     if len(new_pop) >= len(pop):
                         break
                     child = blend(pop[x], pop[y], crossover, rng)
-                    fit = evaluate(decoder, child, tally)
-                    tracker.consider(child, fit)
                     new_pop.append(child)
-                    new_fits.append(fit)
+                    new_fits.append(run.evaluate(child))
             else:
                 for idx in (a, b):
                     if len(new_pop) >= len(pop):
@@ -189,17 +158,15 @@ def run_ga(
 
         best_idx = min(range(len(new_pop)), key=lambda i: new_fits[i].objective)
         improved, improved_fit = rvnd(
-            new_pop[best_idx], decoder, pool, rng, new_fits[best_idx], tally, budget
+            new_pop[best_idx], decoder, pool, rng, new_fits[best_idx], run.tally, budget
         )
-        tracker.consider(improved, improved_fit)
+        run.tracker.consider(improved, improved_fit)
         if improved_fit.objective < new_fits[best_idx].objective:
             worst_idx = max(range(len(new_pop)), key=lambda i: new_fits[i].objective)
             new_pop[worst_idx] = improved
             new_fits[worst_idx] = improved_fit
         pop, fits = new_pop, new_fits
-        if controller is not None:
-            controller.observe(prev_best, tracker.best_objective, budget.progress(tally.count))
-    return tracker.result("ga")
+    return run.result("ga")
 
 
 def pso_move(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
@@ -219,9 +186,8 @@ def run_pso(
 ) -> RunResult:
     """Velocity-driven swarm over the key hypercube; one uniformly random
     particle per generation is polished with RVND."""
-    tally = tally if tally is not None else EvalTally()
-    tracker = BestTracker(budget, tally, pool)
-    pos, fits = _init_population(params.p, decoder, rng, tally, tracker, budget)
+    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    pos, fits = _init_population(run, params.p, rng)
     vel = [np.zeros(decoder.dimension) for _ in pos]
     p_best = [k.copy() for k in pos]
     p_best_fit = list(fits)
@@ -229,18 +195,14 @@ def run_pso(
     g_best = pos[g_idx].copy()
     g_best_fit = fits[g_idx]
 
-    while not budget.expired(tally.count):
-        prev_best = tracker.best_objective
-        p = _controlled_params(params, controller, budget, tally)
+    for p in run.iterations():
         if p.p != len(pos):
             keep = min(p.p, len(pos))
             pos, fits = pos[:keep], fits[:keep]
             vel = vel[:keep]
             p_best, p_best_fit = p_best[:keep], p_best_fit[:keep]
-            while len(pos) < p.p and not budget.expired(tally.count):
-                keys = random_vector(decoder.dimension, rng)
-                fit = evaluate(decoder, keys, tally)
-                tracker.consider(keys, fit)
+            while len(pos) < p.p and not run.expired():
+                keys, fit = _random_member(run, rng)
                 pos.append(keys)
                 fits.append(fit)
                 vel.append(np.zeros(decoder.dimension))
@@ -256,11 +218,9 @@ def run_pso(
             )
             pos[i] = pso_move(pos[i], vel[i])
         for i in range(len(pos)):
-            if budget.expired(tally.count):
+            if run.expired():
                 break
-            fit = evaluate(decoder, pos[i], tally)
-            fits[i] = fit
-            tracker.consider(pos[i], fit)
+            fits[i] = fit = run.evaluate(pos[i])
             if fit.objective < p_best_fit[i].objective:
                 p_best[i] = pos[i].copy()
                 p_best_fit[i] = fit
@@ -269,8 +229,8 @@ def run_pso(
                 g_best_fit = fit
 
         j = rng.integers(0, len(pos))
-        polished, polished_fit = rvnd(pos[j], decoder, pool, rng, fits[j], tally, budget)
-        tracker.consider(polished, polished_fit)
+        polished, polished_fit = rvnd(pos[j], decoder, pool, rng, fits[j], run.tally, budget)
+        run.tracker.consider(polished, polished_fit)
         if polished_fit.objective < fits[j].objective:
             pos[j] = polished
             fits[j] = polished_fit
@@ -280,6 +240,4 @@ def run_pso(
             if polished_fit.objective < g_best_fit.objective:
                 g_best = polished.copy()
                 g_best_fit = polished_fit
-        if controller is not None:
-            controller.observe(prev_best, tracker.best_objective, budget.progress(tally.count))
-    return tracker.result("pso")
+    return run.result("pso")

@@ -15,7 +15,7 @@ from ..core import Decoder, EvalTally, RngStream, TimeBudget
 from ..pool import DEFAULT_CAPACITY, ElitePool, init_pool
 from ..qlearning import QController
 from .base import RunResult
-from .params import SOLVER_NAMES, control_grid, defaults_for
+from .params import SOLVER_NAMES, control_grid
 from .population import run_brkga, run_ga, run_pso
 from .trajectory import run_grasp, run_ils, run_lns, run_sa, run_vns
 
@@ -91,6 +91,8 @@ def run_portfolio(
                     tally=EvalTally(), controller=controller,
                 )
             except BaseException as exc:  # noqa: BLE001 - reported to the caller
+                if len(methods) == 1:
+                    raise  # on the caller's thread: propagate as it is
                 errors[name] = exc
 
         return work
@@ -133,15 +135,9 @@ def run_portfolio(
     return PortfolioResult(best=overall, per_solver=results, pool=pool)
 
 
-def default_params(problem_id: str) -> dict:
-    """Tuned parameter set for every solver, keyed by solver name."""
-    return defaults_for(problem_id)
-
-
 __all__ = [
     "SOLVERS",
     "SOLVER_NAMES",
     "PortfolioResult",
     "run_portfolio",
-    "default_params",
 ]

@@ -3,9 +3,9 @@ local search, variable neighborhood search, and large neighborhood search.
 
 All drivers share one contract: start from a random vector, improve it until
 the budget expires, offer every strict improvement of their own best to the
-shared pool, and return a RunResult.  With a parameter controller attached,
-each outer iteration queries the controller for its configuration up front
-and reports the reward when the iteration ends.
+shared pool, and return a RunResult.  Each outer iteration takes its
+parameter record from the run context (`SolverRun.iterations`), which
+consults the parameter controller when one is attached.
 """
 
 import math
@@ -17,20 +17,13 @@ from ..local_search import FAREY_ORDER7, BudgetTicker, draw_in_interval, rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
 from ..variation import ShakeParams, shake
-from .base import TEMP_FLOOR, BestTracker, RunResult, metropolis_accept
-from .params import with_overrides
+from .base import TEMP_FLOOR, RunResult, SolverRun, metropolis_accept
 
 
 def _shake_range(beta_min: float, beta_max: float) -> ShakeParams:
     # Controller moves can cross the pair; keep it ordered.
     lo, hi = sorted((beta_min, beta_max))
     return ShakeParams(lo, hi)
-
-
-def _controlled(params, controller: QController | None, progress: float):
-    if controller is None:
-        return params
-    return with_overrides(params, controller.select(progress))
 
 
 def run_sa(
@@ -44,33 +37,26 @@ def run_sa(
 ) -> RunResult:
     """Metropolis sampling over shaken neighbors with geometric cooling; the
     incumbent is polished by RVND before every temperature drop."""
-    tally = tally if tally is not None else EvalTally()
-    tracker = BestTracker(budget, tally, pool)
+    run = SolverRun(decoder, params, pool, budget, tally, controller)
     keys = random_vector(decoder.dimension, rng)
-    fit = evaluate(decoder, keys, tally)
-    tracker.consider(keys, fit)
+    fit = run.evaluate(keys)
 
     temp = params.t0
-    while not budget.expired(tally.count):
-        prev_best = tracker.best_objective
-        p = _controlled(params, controller, budget.progress(tally.count))
+    for p in run.iterations():
         betas = _shake_range(p.beta_min, p.beta_max)
         for _ in range(p.sa_max):
-            if budget.expired(tally.count):
+            if run.expired():
                 break
             cand = shake(keys, betas, rng)
-            cand_fit = evaluate(decoder, cand, tally)
-            tracker.consider(cand, cand_fit)
+            cand_fit = run.evaluate(cand)
             if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
                 keys, fit = cand, cand_fit
-        keys, fit = rvnd(keys, decoder, pool, rng, fit, tally, budget)
-        tracker.consider(keys, fit)
+        keys, fit = rvnd(keys, decoder, pool, rng, fit, run.tally, budget)
+        run.tracker.consider(keys, fit)
         temp *= p.alpha
         if temp < TEMP_FLOOR:
             temp = p.t0
-        if controller is not None:
-            controller.observe(prev_best, tracker.best_objective, budget.progress(tally.count))
-    return tracker.result("sa")
+    return run.result("sa")
 
 
 def run_ils(
@@ -84,23 +70,17 @@ def run_ils(
 ) -> RunResult:
     """Shake the best-so-far, descend with RVND, keep the result when it
     improves."""
-    tally = tally if tally is not None else EvalTally()
-    tracker = BestTracker(budget, tally, pool)
+    run = SolverRun(decoder, params, pool, budget, tally, controller)
     incumbent = random_vector(decoder.dimension, rng)
-    fit = evaluate(decoder, incumbent, tally)
-    tracker.consider(incumbent, fit)
+    fit = run.evaluate(incumbent)
 
-    while not budget.expired(tally.count):
-        prev_best = tracker.best_objective
-        p = _controlled(params, controller, budget.progress(tally.count))
+    for p in run.iterations():
         cand = shake(incumbent, _shake_range(p.beta_min, p.beta_max), rng)
-        cand, cand_fit = rvnd(cand, decoder, pool, rng, None, tally, budget)
-        tracker.consider(cand, cand_fit)
+        cand, cand_fit = rvnd(cand, decoder, pool, rng, None, run.tally, budget)
+        run.tracker.consider(cand, cand_fit)
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
-        if controller is not None:
-            controller.observe(prev_best, tracker.best_objective, budget.progress(tally.count))
-    return tracker.result("ils")
+    return run.result("ils")
 
 
 def run_vns(
@@ -115,20 +95,16 @@ def run_vns(
     """Shaking intensity grows with the neighborhood index k (rate k *
     beta_min); improvement resets k to 1, failure advances it, and k wraps
     after k_max."""
-    tally = tally if tally is not None else EvalTally()
-    tracker = BestTracker(budget, tally, pool)
+    run = SolverRun(decoder, params, pool, budget, tally, controller)
     incumbent = random_vector(decoder.dimension, rng)
-    fit = evaluate(decoder, incumbent, tally)
-    tracker.consider(incumbent, fit)
+    fit = run.evaluate(incumbent)
 
     k = 1
-    while not budget.expired(tally.count):
-        prev_best = tracker.best_objective
-        p = _controlled(params, controller, budget.progress(tally.count))
+    for p in run.iterations():
         beta = min(1.0, k * p.beta_min)
         cand = shake(incumbent, ShakeParams(beta, beta), rng)
-        cand, cand_fit = rvnd(cand, decoder, pool, rng, None, tally, budget)
-        tracker.consider(cand, cand_fit)
+        cand, cand_fit = rvnd(cand, decoder, pool, rng, None, run.tally, budget)
+        run.tracker.consider(cand, cand_fit)
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
             k = 1
@@ -136,9 +112,7 @@ def run_vns(
             k += 1
             if k > p.k_max:
                 k = 1
-        if controller is not None:
-            controller.observe(prev_best, tracker.best_objective, budget.progress(tally.count))
-    return tracker.result("vns")
+    return run.result("vns")
 
 
 def _line_search(work, idx, spacing, decoder, rng, ticker):
@@ -209,23 +183,19 @@ def run_grasp(
     The grid spacing starts at hs, halves after every non-improving
     iteration, and resets to hs once it would pass he.
     """
-    tally = tally if tally is not None else EvalTally()
-    tracker = BestTracker(budget, tally, pool)
+    run = SolverRun(decoder, params, pool, budget, tally, controller)
     incumbent = random_vector(decoder.dimension, rng)
-    fit = evaluate(decoder, incumbent, tally)
-    tracker.consider(incumbent, fit)
+    fit = run.evaluate(incumbent)
 
     spacing = params.hs
     temp = params.t0
-    while not budget.expired(tally.count):
-        prev_best = tracker.best_objective
-        p = _controlled(params, controller, budget.progress(tally.count))
+    for p in run.iterations():
         gamma = rng.random()
-        cand, cand_fit = _construct(incumbent, spacing, gamma, decoder, rng, tally, budget)
+        cand, cand_fit = _construct(incumbent, spacing, gamma, decoder, rng, run.tally, budget)
         if cand is None:
             break
-        cand, cand_fit = rvnd(cand, decoder, pool, rng, cand_fit, tally, budget)
-        tracker.consider(cand, cand_fit)
+        cand, cand_fit = rvnd(cand, decoder, pool, rng, cand_fit, run.tally, budget)
+        run.tracker.consider(cand, cand_fit)
         improved = cand_fit.objective < fit.objective
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             incumbent, fit = cand, cand_fit
@@ -236,9 +206,7 @@ def run_grasp(
         temp *= p.alpha
         if temp < TEMP_FLOOR:
             temp = p.t0
-        if controller is not None:
-            controller.observe(prev_best, tracker.best_objective, budget.progress(tally.count))
-    return tracker.result("grasp")
+    return run.result("grasp")
 
 
 def lns_repair(
@@ -289,30 +257,24 @@ def run_lns(
     """Destroy a random share of the keys, repair them Farey-greedily,
     accept by the Metropolis rule, and polish every new global best with
     RVND."""
-    tally = tally if tally is not None else EvalTally()
-    tracker = BestTracker(budget, tally, pool)
+    run = SolverRun(decoder, params, pool, budget, tally, controller)
     keys = random_vector(decoder.dimension, rng)
-    fit = evaluate(decoder, keys, tally)
-    tracker.consider(keys, fit)
+    fit = run.evaluate(keys)
 
     n = decoder.dimension
     temp = params.t0
-    while not budget.expired(tally.count):
-        prev_best = tracker.best_objective
-        p = _controlled(params, controller, budget.progress(tally.count))
+    for p in run.iterations():
         lo, hi = sorted((p.beta_min, p.beta_max))
         beta = rng.uniform(lo, hi) if hi > lo else lo
         count = min(n, max(1, math.ceil(beta * n)))
         removed = rng.choice(n, size=count, replace=False)
-        cand, cand_fit = lns_repair(keys, removed, decoder, rng, fit, tally, budget)
-        if tracker.consider(cand, cand_fit):
-            cand, cand_fit = rvnd(cand, decoder, pool, rng, cand_fit, tally, budget)
-            tracker.consider(cand, cand_fit)
+        cand, cand_fit = lns_repair(keys, removed, decoder, rng, fit, run.tally, budget)
+        if run.tracker.consider(cand, cand_fit):
+            cand, cand_fit = rvnd(cand, decoder, pool, rng, cand_fit, run.tally, budget)
+            run.tracker.consider(cand, cand_fit)
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             keys, fit = cand, cand_fit
         temp *= p.alpha
         if temp < TEMP_FLOOR:
             temp = p.t0
-        if controller is not None:
-            controller.observe(prev_best, tracker.best_objective, budget.progress(tally.count))
-    return tracker.result("lns")
+    return run.result("lns")

@@ -15,6 +15,7 @@ from keyopt.harness import (
 )
 from keyopt.problems import (
     brute_force_pmedian,
+    make_decoder,
     parse_orlib_pmed,
     write_orlib_pmed,
 )
@@ -284,3 +285,43 @@ def test_cli_bench_reports_failures(tmp_path):
         f"max_evals = 50\noutput_dir = {tmp_path / 'out'}\n"
     )
     assert main(["bench", "--config", str(cfg)]) == 1
+
+
+def test_harness_looks_up_decoder_and_portfolio_at_call_time(pmed_files, tmp_path, monkeypatch):
+    """Tools that instrument runs replace these module globals; a name bound
+    at import time would bypass them."""
+    import keyopt.harness as harness
+    from keyopt.solvers import defaults_for
+
+    paths, _ = pmed_files
+    real_make, real_run = harness.make_decoder, harness.run_portfolio
+    made, ran = [], []
+    monkeypatch.setattr(harness, "make_decoder",
+                        lambda *args: made.append(args) or real_make(*args))
+    monkeypatch.setattr(harness, "run_portfolio",
+                        lambda *args, **kw: ran.append(args[1]) or real_run(*args, **kw))
+    config = ExperimentConfig(
+        problem="pmedian", instances=paths[:1], methods=["sa"], runs=1,
+        max_evals=200, seed=5, output_dir=str(tmp_path / "out"), pool_capacity=5,
+    )
+    run_experiment(config)
+    assert len(made) == 1
+    decoder = real_make("pmedian", parse_orlib_pmed(paths[0], alpha=1))
+    result = harness.run_cell("pmedian", decoder, "portfolio", defaults_for("pmedian"),
+                              3, None, 100, 5, False)
+    assert ran[-1] == list(harness.SOLVER_NAMES)
+    assert result.solver == "portfolio"
+
+
+def test_single_solver_cell_raises_the_solvers_own_error(pmed_files, monkeypatch):
+    from keyopt.harness import run_cell
+    from keyopt.solvers import SOLVERS, defaults_for
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("solver bug")
+
+    paths, _ = pmed_files
+    decoder = make_decoder("pmedian", parse_orlib_pmed(paths[0], alpha=1))
+    monkeypatch.setitem(SOLVERS, "sa", broken)
+    with pytest.raises(ZeroDivisionError, match="solver bug"):
+        run_cell("pmedian", decoder, "sa", defaults_for("pmedian"), 1, None, 50, 5, False)
