@@ -76,18 +76,11 @@ def test_every_valid_record_builds_a_valid_grid(solver):
     ("brkga", {"pe": 0.1, "pm": 0.85}),
     ("sa", {"alpha": 0.9995}),
     ("grasp", {"hs": 1.0, "he": 1e-8}),
-    ("grasp", {"hs": 1e-4, "he": 1e-4}),
+    ("grasp", {"hs": 1e-4, "he": 1e-4}),  # centre pair: he grid must stay <= hs grid
 ])
 def test_valid_overrides_build_a_valid_grid(solver, overrides):
     for table in DEFAULT_TABLES.values():
         assert_grid_valid(solver, with_overrides(table[solver], overrides))
-
-
-def test_grasp_end_spacing_grid_stays_below_start_spacing():
-    grid = control_grid("grasp", GraspParams(hs=1e-4, he=1e-4))
-    hs, he = grid.values
-    assert max(he) <= min(hs)
-    assert 1e-4 in hs and 1e-4 in he
 
 
 def test_default_grids_match_golden(tmp_path):
