@@ -9,10 +9,10 @@ p(p-1)/2 arc keys ranking the hub pairs for Kruskal.
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
 import os
-from collections import deque
 
 import numpy as np
 
@@ -53,8 +53,9 @@ class HubTreeInstance:
         w_off = w.copy()
         np.fill_diagonal(w_off, 0.0)
         object.__setattr__(self, "_demand_off", w_off)
-        object.__setattr__(self, "_demand_out", w_off.sum(axis=1))
-        object.__setattr__(self, "_demand_in", w_off.sum(axis=0))
+        # Demand leaving plus demand entering each node: the weight of its
+        # access arc.
+        object.__setattr__(self, "_demand_through", w_off.sum(axis=1) + w_off.sum(axis=0))
         object.__setattr__(self, "_node_range", np.arange(n))
 
     @property
@@ -73,6 +74,11 @@ def hub_pairs(p: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(p), 2))
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_hub_pairs(p: int) -> tuple[tuple[int, int], ...]:
+    return tuple(hub_pairs(p))
+
+
 def kruskal_tree(p: int, arc_order) -> list[tuple[int, int]]:
     """Spanning tree over p hub positions, accepting acyclic arcs in the
     given order until p - 1 edges."""
@@ -84,7 +90,7 @@ def kruskal_tree(p: int, arc_order) -> list[tuple[int, int]]:
             x = parent[x]
         return x
 
-    pairs = hub_pairs(p)
+    pairs = _cached_hub_pairs(p)
     tree = []
     for arc_idx in arc_order:
         a, b = pairs[arc_idx]
@@ -105,19 +111,20 @@ def tree_path_costs(hub_nodes, tree, cost) -> np.ndarray:
         edge_cost = float(cost[hub_nodes[a], hub_nodes[b]])
         adj[a].append((b, edge_cost))
         adj[b].append((a, edge_cost))
-    paths = np.zeros((p, p))
+    rows = []
     for src in range(p):
+        row = [0.0] * p
         seen = [False] * p
         seen[src] = True
-        queue = deque([(src, 0.0)])
-        while queue:
-            node, acc = queue.popleft()
-            paths[src, node] = acc
+        queue = [(src, 0.0)]
+        for node, acc in queue:  # also visits the entries appended below
+            row[node] = acc
             for nxt, edge_cost in adj[node]:
                 if not seen[nxt]:
                     seen[nxt] = True
                     queue.append((nxt, acc + edge_cost))
-    return paths
+        rows.append(row)
+    return np.array(rows)
 
 
 def routing_cost(instance: HubTreeInstance, hub_nodes, hub_of, tree) -> float:
@@ -127,15 +134,13 @@ def routing_cost(instance: HubTreeInstance, hub_nodes, hub_of, tree) -> float:
     The access part folds into per-node demand totals; the tree part
     aggregates demand by hub group before weighting with path costs.
     """
-    n = instance.n
     p = len(hub_nodes)
-    pos_of_hub = np.zeros(n, dtype=int)
-    pos_of_hub[list(hub_nodes)] = np.arange(p)
-    hub_pos = pos_of_hub[np.asarray(hub_of)]
+    pos_of = {node: pos for pos, node in enumerate(hub_nodes)}
+    hub_pos = np.array([pos_of[hub] for hub in hub_of])
     access = instance.cost[instance._node_range, hub_of]
-    access_cost = float(access @ (instance._demand_out + instance._demand_in))
+    access_cost = float(access @ instance._demand_through)
     paths = tree_path_costs(hub_nodes, tree, instance.cost)
-    cell = hub_pos[:, None] * p + hub_pos[None, :]
+    cell = (hub_pos * p)[:, None] + hub_pos
     demand_by_group = np.bincount(
         cell.ravel(), weights=instance._demand_off.ravel(), minlength=p * p
     ).reshape(p, p)
@@ -151,26 +156,24 @@ class HubTreeDecoder(Decoder):
     def decode(self, keys: np.ndarray) -> tuple[Fitness, tuple]:
         inst = self.instance
         n, p = inst.n, inst.hubs
-        order = np.argsort(keys[:n], kind="stable")
-        hub_nodes = [int(v) for v in order[:p]]  # in sorted-key order
-        non_hubs = [int(v) for v in order[p:]]
+        order = keys[:n].argsort(kind="stable").tolist()
+        hub_nodes = order[:p]  # in sorted-key order
+        non_hubs = order[p:]
 
-        hub_of = np.empty(n, dtype=int)
-        for node in hub_nodes:
-            hub_of[node] = node
-        assign_keys = keys[n : n + (n - p)]
-        for k, node in enumerate(non_hubs):
-            slot = min(p - 1, int(math.floor(assign_keys[k] * p)))
+        hub_of = list(range(n))  # hubs serve themselves
+        assign_keys = keys[n : n + (n - p)].tolist()
+        for node, key in zip(non_hubs, assign_keys):
+            slot = min(p - 1, int(math.floor(key * p)))
             hub_of[node] = hub_nodes[slot]
 
         arc_keys = keys[n + (n - p) :]
-        arc_order = np.argsort(arc_keys, kind="stable")
+        arc_order = arc_keys.argsort(kind="stable").tolist()
         tree = kruskal_tree(p, arc_order)
 
         total = routing_cost(inst, hub_nodes, hub_of, tree)
         artifact = (
             tuple(hub_nodes),
-            tuple(int(h) for h in hub_of),
+            tuple(hub_of),
             tuple((hub_nodes[a], hub_nodes[b]) for a, b in tree),
         )
         return Fitness.of(total), artifact

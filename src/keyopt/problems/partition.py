@@ -41,8 +41,12 @@ class PartitionInstance:
             raise ValueError("traffic and handovers must be non-negative")
         if np.any(c <= 0):
             raise ValueError("controller capacities must be positive")
-        # Bidirectional handover mass, used by the greedy insertion gain.
-        object.__setattr__(self, "_h_both", h + h.T)
+        # Decoder lookups: plain lists index faster than arrays element by
+        # element.  Bidirectional handover mass feeds the greedy insertion gain.
+        object.__setattr__(self, "_traffic_list", t.tolist())
+        object.__setattr__(self, "_capacity_list", c.tolist())
+        object.__setattr__(self, "_h_both_rows", (h + h.T).tolist())
+        object.__setattr__(self, "_penalty_unit", float(h.sum()))
 
     @property
     def stations(self) -> int:
@@ -56,7 +60,7 @@ class PartitionInstance:
     def penalty_unit(self) -> float:
         """Penalty per unassigned station: the whole handover mass, so any
         fully assigned solution beats any penalized one."""
-        return float(self.handovers.sum())
+        return self._penalty_unit
 
 
 def cut_value(handovers, assignment) -> float:
@@ -81,15 +85,15 @@ class PartitionDecoder(Decoder):
     def decode(self, keys: np.ndarray) -> tuple[Fitness, tuple]:
         inst = self.instance
         b, r = inst.stations, inst.controllers
-        order = np.argsort(keys[:b], kind="stable")
+        order = keys[:b].argsort(kind="stable").tolist()
         seeds = min(r, max(1, math.ceil(keys[b] * r)))
 
-        assignment = np.full(b, -1, dtype=int)
+        assignment = [-1] * b
         members: list[list[int]] = [[] for _ in range(r)]
-        load = np.zeros(r)
-        traffic = inst.traffic
-        capacity = inst.capacity
-        h_both = inst._h_both
+        load = [0.0] * r
+        traffic = inst._traffic_list
+        capacity = inst._capacity_list
+        h_both = inst._h_both_rows
 
         # Seed phase: one station per controller in index order, skipping
         # controllers that cannot hold their station.
@@ -106,7 +110,7 @@ class PartitionDecoder(Decoder):
             if target is None:
                 break
             assignment[station] = target
-            members[target].append(int(station))
+            members[target].append(station)
             load[target] += traffic[station]
             next_controller = target + 1
             placed += 1
@@ -129,20 +133,21 @@ class PartitionDecoder(Decoder):
                     best_ctrl = ctrl
             if best_ctrl >= 0:
                 assignment[station] = best_ctrl
-                members[best_ctrl].append(int(station))
+                members[best_ctrl].append(station)
                 load[best_ctrl] += traffic[station]
 
-        unassigned = int((assignment < 0).sum())
+        unassigned = assignment.count(-1)
         # Cut = all handovers minus the intra-controller ones; unassigned
         # stations have no controller, so their traffic all counts as cut.
         intra = 0.0
         h = inst.handovers
         for group in members:
             if len(group) > 1:
-                intra += float(h[np.ix_(group, group)].sum())
+                idx = np.array(group)
+                intra += float(h[idx[:, None], idx].sum())
         cut = max(0.0, inst.penalty_unit - intra)
         penalty = unassigned * inst.penalty_unit
-        return Fitness.of(cut, penalty), tuple(int(a) for a in assignment)
+        return Fitness.of(cut, penalty), tuple(assignment)
 
 
 def parse_partition(path) -> PartitionInstance:

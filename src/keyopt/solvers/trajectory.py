@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..core import Decoder, EvalTally, RngStream, TimeBudget, evaluate, random_vector
-from ..local_search import FAREY_ORDER7, BudgetTicker, draw_in_interval, rvnd
+from ..local_search import FAREY_GAPS, BudgetTicker, draw_in_interval, rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
 from ..variation import ShakeParams, shake
@@ -227,8 +227,8 @@ def lns_repair(
     for idx in rng.gen.permutation(np.asarray(removed)):
         best_v = None
         best_fit = None
-        for j in range(len(FAREY_ORDER7) - 1):
-            work[idx] = draw_in_interval(rng, FAREY_ORDER7[j], FAREY_ORDER7[j + 1])
+        for lo, hi in FAREY_GAPS:
+            work[idx] = draw_in_interval(rng, lo, hi)
             cand = evaluate(decoder, work, ticker.tally)
             if best_fit is None or cand.objective < best_fit.objective:
                 best_v, best_fit = work[idx], cand
