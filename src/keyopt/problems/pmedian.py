@@ -61,7 +61,7 @@ class PMedianDecoder(Decoder):
         inst = self.instance
         candidates = list(range(inst.n))
         opened = []
-        for key in np.asarray(keys).tolist():
+        for key in keys:
             k = int(math.floor(key * len(candidates)))
             opened.append(candidates.pop(k))
         cost = assignment_cost(inst.dist, opened, inst.alpha)

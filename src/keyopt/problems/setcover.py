@@ -18,9 +18,8 @@ class SetCoverInstance:
         if not np.isin(a, (0, 1)).all():
             raise ValueError("coverage matrix must be binary")
         self.a = a.astype(bool)
+        self._a_int = self.a.astype(np.int64)
         self.m, self.n = self.a.shape
-        # Rows covered by each column, for the decoder's list arithmetic.
-        self._rows_of = [np.flatnonzero(self.a[:, j]).tolist() for j in range(self.n)]
         # Rows no column covers make the whole instance uncoverable.
         self.coverable = bool(self.a.any(axis=1).all())
 
@@ -31,53 +30,50 @@ class SetCoverDecoder(Decoder):
         self.dimension = instance.n
 
     def decode(self, keys: np.ndarray) -> tuple[Fitness, tuple]:
-        inst = self.instance
-        rows_of = inst._rows_of
-        n = inst.n
-        selected = [key >= 0.5 for key in np.asarray(keys).tolist()]
+        a = self.instance.a
+        ai = self.instance._a_int
+        m, n = self.instance.m, self.instance.n
+        selected = np.asarray(keys) >= 0.5
 
         # counts[i] = how many selected columns cover row i, maintained
         # incrementally through all three phases.
-        counts = [0] * inst.m
-        for j in range(n):
-            if selected[j]:
-                for i in rows_of[j]:
-                    counts[i] += 1
+        counts = ai @ selected
         # Greedy repair: repeatedly add the smallest-index column covering
         # the most still-uncovered rows.
-        while 0 in counts:
-            best, best_gain = -1, 0
-            for j in range(n):
-                if not selected[j]:
-                    gain = 0
-                    for i in rows_of[j]:
-                        if counts[i] == 0:
-                            gain += 1
-                    if gain > best_gain:  # strict, so the smallest index wins ties
-                        best, best_gain = j, gain
-            if best < 0:
+        while True:
+            uncovered = counts == 0
+            if not uncovered.any():
+                break
+            gain = uncovered @ ai
+            gain[selected] = 0
+            best = int(np.argmax(gain))  # first maximum, so smallest index
+            if gain[best] == 0:
                 break
             selected[best] = True
-            for i in rows_of[best]:
-                counts[i] += 1
+            counts += ai[:, best]
 
-        n_uncovered = counts.count(0)
+        n_uncovered = int((counts == 0).sum())
         if n_uncovered == 0:
             self._drop_superfluous(selected, counts)
-        cover = tuple(j for j in range(n) if selected[j])
+        cover = tuple(int(j) for j in np.flatnonzero(selected))
         penalty = float(n_uncovered * n)
         return Fitness.of(float(len(cover)), penalty), cover
 
     def _drop_superfluous(self, selected, counts) -> None:
         """Remove, smallest index first, any column whose removal keeps the
-        cover valid.  One ascending pass suffices: counts only fall, so a
-        column that was needed stays needed after a later removal."""
-        rows_of = self.instance._rows_of
-        for j in range(len(selected)):
-            if selected[j] and all(counts[i] >= 2 for i in rows_of[j]):
-                selected[j] = False
-                for i in rows_of[j]:
-                    counts[i] -= 1
+        cover valid; restart the scan after each removal."""
+        a = self.instance.a
+        ai = self.instance._a_int
+        while True:
+            removed = False
+            for j in np.flatnonzero(selected):
+                if (counts[a[:, j]] >= 2).all():
+                    selected[j] = False
+                    counts -= ai[:, j]
+                    removed = True
+                    break
+            if not removed:
+                return
 
 
 def parse_setcover(path) -> SetCoverInstance:

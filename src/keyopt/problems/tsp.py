@@ -30,7 +30,7 @@ class TspInstance:
 
     def tour_cost(self, tour) -> float:
         tour = np.asarray(tour)
-        nxt = np.concatenate((tour[1:], tour[:1]))
+        nxt = np.roll(tour, -1)
         return float(self.dist[tour, nxt].sum())
 
 
@@ -40,9 +40,9 @@ class TspDecoder(Decoder):
         self.dimension = instance.n
 
     def decode(self, keys: np.ndarray) -> tuple[Fitness, tuple]:
-        tour = np.asarray(keys).argsort(kind="stable")
+        tour = np.argsort(keys, kind="stable")
         cost = self.instance.tour_cost(tour)
-        return Fitness.of(cost), tuple(tour.tolist())
+        return Fitness.of(cost), tuple(int(i) for i in tour)
 
 
 def parse_tsp(path) -> TspInstance:

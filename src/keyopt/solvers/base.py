@@ -98,6 +98,12 @@ class SolverRun:
         self.tracker.consider(keys, fit)
         return fit
 
+    def keep(self, keys: np.ndarray, fit: Fitness) -> tuple[np.ndarray, Fitness]:
+        """Offer an already evaluated pair, e.g. a local search's result, to
+        the tracker and return it."""
+        self.tracker.consider(keys, fit)
+        return keys, fit
+
     def expired(self) -> bool:
         return self.budget.expired(self.tally.count)
 

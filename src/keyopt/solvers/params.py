@@ -41,7 +41,7 @@ class _Record:
                 raise ValueError(f"{f.name} must be in {f.metadata['valid']}, got {value}")
 
 
-POSITIVE = "(0, inf)"
+POSITIVE = "(0, inf]"
 FRACTION = "[0, 1]"
 COOLING = "(0, 1)"
 
@@ -105,7 +105,7 @@ class PsoParams(_Record):
     p: int = param(100, POSITIVE, grid=(2, None), integer=True)
     c1: float = param(2.05, POSITIVE, grid=(0.01, None))
     c2: float = param(2.05, POSITIVE, grid=(0.01, None))
-    w: float = param(0.73, "[0, inf)", grid=(0.0, 1.0))
+    w: float = param(0.73, "[0, inf]", grid=(0.0, 1.0))
 
 
 @dataclass(frozen=True)

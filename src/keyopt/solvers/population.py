@@ -99,10 +99,9 @@ def run_brkga(
 
         tracker = run.tracker
         if tracker.best_objective < prev_best:
-            improved, improved_fit = rvnd(
+            improved, improved_fit = run.keep(*rvnd(
                 tracker.best_keys, decoder, pool, rng, tracker.best_fitness, run.tally, budget
-            )
-            tracker.consider(improved, improved_fit)
+            ))
             pop[-1] = improved
             fits[-1] = improved_fit
             pop, fits = _sorted_population(pop, fits)
@@ -157,10 +156,9 @@ def run_ga(
                     new_fits.append(fits[idx])
 
         best_idx = min(range(len(new_pop)), key=lambda i: new_fits[i].objective)
-        improved, improved_fit = rvnd(
+        improved, improved_fit = run.keep(*rvnd(
             new_pop[best_idx], decoder, pool, rng, new_fits[best_idx], run.tally, budget
-        )
-        run.tracker.consider(improved, improved_fit)
+        ))
         if improved_fit.objective < new_fits[best_idx].objective:
             worst_idx = max(range(len(new_pop)), key=lambda i: new_fits[i].objective)
             new_pop[worst_idx] = improved
@@ -229,8 +227,8 @@ def run_pso(
                 g_best_fit = fit
 
         j = rng.integers(0, len(pos))
-        polished, polished_fit = rvnd(pos[j], decoder, pool, rng, fits[j], run.tally, budget)
-        run.tracker.consider(polished, polished_fit)
+        polished, polished_fit = run.keep(
+            *rvnd(pos[j], decoder, pool, rng, fits[j], run.tally, budget))
         if polished_fit.objective < fits[j].objective:
             pos[j] = polished
             fits[j] = polished_fit

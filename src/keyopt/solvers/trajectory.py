@@ -51,8 +51,7 @@ def run_sa(
             cand_fit = run.evaluate(cand)
             if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
                 keys, fit = cand, cand_fit
-        keys, fit = rvnd(keys, decoder, pool, rng, fit, run.tally, budget)
-        run.tracker.consider(keys, fit)
+        keys, fit = run.keep(*rvnd(keys, decoder, pool, rng, fit, run.tally, budget))
         temp *= p.alpha
         if temp < TEMP_FLOOR:
             temp = p.t0
@@ -76,8 +75,7 @@ def run_ils(
 
     for p in run.iterations():
         cand = shake(incumbent, _shake_range(p.beta_min, p.beta_max), rng)
-        cand, cand_fit = rvnd(cand, decoder, pool, rng, None, run.tally, budget)
-        run.tracker.consider(cand, cand_fit)
+        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, None, run.tally, budget))
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
     return run.result("ils")
@@ -103,8 +101,7 @@ def run_vns(
     for p in run.iterations():
         beta = min(1.0, k * p.beta_min)
         cand = shake(incumbent, ShakeParams(beta, beta), rng)
-        cand, cand_fit = rvnd(cand, decoder, pool, rng, None, run.tally, budget)
-        run.tracker.consider(cand, cand_fit)
+        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, None, run.tally, budget))
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
             k = 1
@@ -194,8 +191,7 @@ def run_grasp(
         cand, cand_fit = _construct(incumbent, spacing, gamma, decoder, rng, run.tally, budget)
         if cand is None:
             break
-        cand, cand_fit = rvnd(cand, decoder, pool, rng, cand_fit, run.tally, budget)
-        run.tracker.consider(cand, cand_fit)
+        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, cand_fit, run.tally, budget))
         improved = cand_fit.objective < fit.objective
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             incumbent, fit = cand, cand_fit
@@ -270,8 +266,7 @@ def run_lns(
         removed = rng.choice(n, size=count, replace=False)
         cand, cand_fit = lns_repair(keys, removed, decoder, rng, fit, run.tally, budget)
         if run.tracker.consider(cand, cand_fit):
-            cand, cand_fit = rvnd(cand, decoder, pool, rng, cand_fit, run.tally, budget)
-            run.tracker.consider(cand, cand_fit)
+            cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, cand_fit, run.tally, budget))
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             keys, fit = cand, cand_fit
         temp *= p.alpha

@@ -14,6 +14,9 @@ from keyopt.qlearning import QController
 from keyopt.solvers import (
     BrkgaParams,
     GraspParams,
+    LnsParams,
+    PsoParams,
+    SaParams,
     SOLVER_NAMES,
     control_grid,
     defaults_for,
@@ -116,6 +119,17 @@ def test_declared_intervals_are_enforced():
     with pytest.raises(ValueError, match="end grid spacing"):
         GraspParams(hs=0.01, he=0.02)
     assert BrkgaParams(rho=1.0).rho == 1.0
+    # Unbounded parameters accept infinity (an infinite temperature always
+    # accepts); NaN fails every interval.
+    inf, nan = float("inf"), float("nan")
+    assert SaParams(t0=inf).t0 == inf
+    assert PsoParams(c1=inf, w=inf).w == inf
+    assert GraspParams(t0=inf).t0 == inf
+    assert LnsParams(t0=inf).t0 == inf
+    with pytest.raises(ValueError, match="t0 must be in"):
+        SaParams(t0=nan)
+    with pytest.raises(ValueError, match="w must be in"):
+        PsoParams(w=nan)
 
 
 @pytest.mark.parametrize("q_control", [False, True])
