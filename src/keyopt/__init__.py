@@ -11,14 +11,12 @@ from .core import (
     DimensionError,
     EvalTally,
     Fitness,
-    InvalidIntervalError,
     ParseError,
     RngStream,
     SizeGuardError,
     TimeBudget,
     evaluate,
     random_vector,
-    unif_rand,
 )
 from .pool import ElitePool, EmptyPoolError, init_pool
 from .variation import BlendParams, ShakeParams, blend, shake
@@ -30,14 +28,12 @@ __all__ = [
     "DimensionError",
     "EvalTally",
     "Fitness",
-    "InvalidIntervalError",
     "ParseError",
     "RngStream",
     "SizeGuardError",
     "TimeBudget",
     "evaluate",
     "random_vector",
-    "unif_rand",
     "ElitePool",
     "EmptyPoolError",
     "init_pool",

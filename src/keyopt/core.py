@@ -25,10 +25,6 @@ class DimensionError(ValueError):
     """Key vector length does not match what an operation requires."""
 
 
-class InvalidIntervalError(ValueError):
-    """Interval bounds do not satisfy lo < hi."""
-
-
 class ParseError(ValueError):
     """Malformed instance file."""
 
@@ -119,13 +115,6 @@ def random_vector(n: int, rng: RngStream) -> np.ndarray:
     return rng.gen.random(n)
 
 
-def unif_rand(rng: RngStream, lo: float, hi: float) -> float:
-    """Uniform draw in [lo, hi)."""
-    if lo >= hi:
-        raise InvalidIntervalError(f"need lo < hi, got [{lo}, {hi})")
-    return float(rng.gen.uniform(lo, hi))
-
-
 def clamp_keys(keys: np.ndarray) -> np.ndarray:
     """Clip arbitrary reals into the valid key range [0, KEY_MAX]."""
     return np.clip(keys, 0.0, KEY_MAX)
@@ -136,14 +125,25 @@ def mirror_key(x: float) -> float:
     return min(1.0 - x, KEY_MAX)
 
 
-@dataclass
 class EvalTally:
-    """Running count of decoder invocations."""
+    """A run's meter: the count of decoder invocations and the budget that
+    count is spent against.  Without a budget it never expires."""
 
-    count: int = 0
+    def __init__(self, budget: "TimeBudget | None" = None):
+        self.count = 0
+        self.budget = budget
 
     def tick(self) -> None:
         self.count += 1
+
+    def expired(self) -> bool:
+        return self.budget is not None and self.budget.expired(self.count)
+
+    def elapsed(self) -> float:
+        return self.budget.elapsed(self.count)
+
+    def progress(self) -> float:
+        return self.budget.progress(self.count)
 
 
 def evaluate(decoder: Decoder, keys: np.ndarray, tally: EvalTally | None = None) -> Fitness:

@@ -61,6 +61,10 @@ class ExperimentConfig:
             raise ValueError(f"time limit must be > 0, got {self.time_limit}")
         if self.params_mode not in ("table", "qlearning"):
             raise ValueError(f"unknown parameter source: {self.params_mode}")
+        choices = ("portfolio", *SOLVER_NAMES)
+        for method in self.methods:
+            if method not in choices:
+                raise ValueError(f"unknown method: {method} (choose from {', '.join(choices)})")
 
 
 def default_time_limit(problem_id: str, instance) -> float:
@@ -348,11 +352,29 @@ def write_traces(results, path) -> None:
                 fh.write(f"{result.solver},{t!r},{obj!r}\n")
 
 
+# Config-file key -> (ExperimentConfig field, cast from the value text).
+CONFIG_KEYS = {
+    "problem": ("problem", str),
+    "methods": ("methods", str.split),
+    "runs": ("runs", int),
+    "time_limit": ("time_limit", float),
+    "max_evals": ("max_evals", int),
+    "seed": ("seed", int),
+    "output_dir": ("output_dir", str),
+    "alpha": ("alpha", int),
+    "pool_size": ("pool_capacity", int),
+    "params": ("params_mode", str),
+    "bks": ("bks_path", str),
+    "workers": ("workers", int),
+    "profile_tolerance": ("profile_tolerance", float),
+}
+
+
 def parse_config(path) -> ExperimentConfig:
     """Plain key-value config: `key = value` lines, '#' comments, repeated
     `instance` lines accumulate, and dotted keys like `sa.t0 = 500` override
-    solver parameters."""
-    raw = {}
+    solver parameters.  Any other key must be one of CONFIG_KEYS."""
+    fields = {"methods": ["portfolio"]}
     instances = []
     overrides = {}
     with open(path) as fh:
@@ -370,27 +392,12 @@ def parse_config(path) -> ExperimentConfig:
             elif "." in key:
                 solver, param = key.split(".", 1)
                 overrides.setdefault(solver, {})[param] = float(value)
+            elif key in CONFIG_KEYS:
+                name, cast = CONFIG_KEYS[key]
+                fields[name] = cast(value)
             else:
-                raw[key] = value
-
-    def get(key, cast, default):
-        return cast(raw[key]) if key in raw else default
-
-    methods = raw.get("methods", "portfolio").split()
-    return ExperimentConfig(
-        problem=raw["problem"],
-        instances=instances,
-        methods=methods,
-        runs=get("runs", int, 5),
-        time_limit=get("time_limit", float, None),
-        max_evals=get("max_evals", int, None),
-        seed=get("seed", int, 1),
-        output_dir=raw.get("output_dir", "results"),
-        alpha=get("alpha", int, 1),
-        pool_capacity=get("pool_size", int, 20),
-        params_mode=raw.get("params", "table"),
-        overrides=overrides,
-        bks_path=raw.get("bks"),
-        workers=get("workers", int, 1),
-        profile_tolerance=get("profile_tolerance", float, 1.0),
-    )
+                raise ValueError(f"{path} line {lineno}: unknown key {key!r} "
+                                 f"(choose from {', '.join(CONFIG_KEYS)})")
+    if "problem" not in fields:
+        raise ValueError(f"{path}: no 'problem' line")
+    return ExperimentConfig(instances=instances, overrides=overrides, **fields)

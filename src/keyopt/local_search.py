@@ -3,9 +3,10 @@ top of four problem-independent neighborhoods (swap, Farey, mirror,
 Nelder-Mead).
 
 Every function here is a descent method: the returned vector never has a
-worse objective than the incumbent it started from.  All of them honor an
-optional time budget, checked between candidate evaluations every
-BUDGET_CHECK_EVERY decodes, returning the incumbent on expiry.
+worse objective than the incumbent it started from.  All of them count
+their decodes on an optional run meter (EvalTally) and, when it carries a
+budget, poll it every BUDGET_CHECK_EVERY decodes, returning the incumbent
+on expiry.
 """
 
 import math
@@ -18,7 +19,6 @@ from .core import (
     EvalTally,
     Fitness,
     RngStream,
-    TimeBudget,
     evaluate,
     mirror_key,
 )
@@ -56,21 +56,24 @@ def draw_in_interval(rng: RngStream, lo: float, hi: float) -> float:
 
 
 class BudgetTicker:
-    """Counts candidate evaluations and polls the budget periodically."""
+    """Counts candidate evaluations on a run meter and polls its budget
+    every BUDGET_CHECK_EVERY of them; `fired` records a poll that found the
+    budget spent."""
 
-    def __init__(self, tally: EvalTally | None, budget: TimeBudget | None):
+    def __init__(self, tally: EvalTally | None):
         self.tally = tally if tally is not None else EvalTally()
-        self.budget = budget
         self._since_check = 0
+        self.fired = False
 
     def out_of_time(self) -> bool:
-        if self.budget is None:
+        if self.tally.budget is None:
             return False
         self._since_check += 1
         if self._since_check < BUDGET_CHECK_EVERY:
             return False
         self._since_check = 0
-        return self.budget.expired(self.tally.count)
+        self.fired = self.tally.expired()
+        return self.fired
 
 
 def _ensure_fitness(keys, decoder, fitness, tally):
@@ -79,18 +82,44 @@ def _ensure_fitness(keys, decoder, fitness, tally):
     return fitness
 
 
+def farey_draws(rng: RngStream):
+    """One uniform draw from each Farey interval, drawn lazily."""
+    return (draw_in_interval(rng, lo, hi) for lo, hi in FAREY_GAPS)
+
+
+def best_key_value(work: np.ndarray, idx: int, values, decoder: Decoder,
+                   ticker: BudgetTicker) -> tuple[float, Fitness]:
+    """Evaluate `work` with key `idx` set to each of `values` in turn and
+    return (value, fitness) of the first minimum, with `work[idx]` restored.
+
+    Stops after the candidate on which the budget poll fires (then
+    `ticker.fired` is set); `values` is consumed lazily, so nothing more is
+    drawn after the stop.
+    """
+    original = work[idx]
+    best_v = best_fit = None
+    for v in values:
+        work[idx] = v
+        fit = evaluate(decoder, work, ticker.tally)
+        if best_fit is None or fit.objective < best_fit.objective:
+            best_v, best_fit = work[idx], fit
+        if ticker.out_of_time():
+            break
+    work[idx] = original
+    return best_v, best_fit
+
+
 def swap_ls(
     keys: np.ndarray,
     decoder: Decoder,
     rng: RngStream,
     fitness: Fitness | None = None,
     tally: EvalTally | None = None,
-    budget: TimeBudget | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """First-improvement scan over all unordered key pairs, visited in a
     freshly randomized index order; an improving swap is kept and the scan
     continues from the new incumbent."""
-    ticker = BudgetTicker(tally, budget)
+    ticker = BudgetTicker(tally)
     best = np.array(keys, copy=True)
     best_fit = _ensure_fitness(keys, decoder, fitness, ticker.tally)
     n = len(keys)
@@ -113,32 +142,32 @@ def swap_ls(
     return best, best_fit
 
 
+def _key_scan(keys, decoder, rng, fitness, tally, candidates):
+    """First-improvement scan over the keys in randomized order: each key
+    takes the best of its candidate values, `candidates(best, idx)`, when
+    that beats the incumbent."""
+    ticker = BudgetTicker(tally)
+    best = np.array(keys, copy=True)
+    best_fit = _ensure_fitness(keys, decoder, fitness, ticker.tally)
+    for idx in rng.permutation(len(keys)):
+        v, fit = best_key_value(best, idx, candidates(best, idx), decoder, ticker)
+        if fit.objective < best_fit.objective:
+            best[idx], best_fit = v, fit
+        if ticker.fired:
+            break
+    return best, best_fit
+
+
 def farey_ls(
     keys: np.ndarray,
     decoder: Decoder,
     rng: RngStream,
     fitness: Fitness | None = None,
     tally: EvalTally | None = None,
-    budget: TimeBudget | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """For each key in randomized order, try one candidate value drawn from
     each of the 18 Farey intervals; first improvement is kept."""
-    ticker = BudgetTicker(tally, budget)
-    best = np.array(keys, copy=True)
-    best_fit = _ensure_fitness(keys, decoder, fitness, ticker.tally)
-    work = best.copy()
-    for idx in rng.permutation(len(keys)):
-        for lo, hi in FAREY_GAPS:
-            work[idx] = draw_in_interval(rng, lo, hi)
-            fit = evaluate(decoder, work, ticker.tally)
-            if fit.objective < best_fit.objective:
-                best_fit = fit
-                best = work.copy()
-            else:
-                work[idx] = best[idx]
-            if ticker.out_of_time():
-                return best, best_fit
-    return best, best_fit
+    return _key_scan(keys, decoder, rng, fitness, tally, lambda best, idx: farey_draws(rng))
 
 
 def mirror_ls(
@@ -147,25 +176,11 @@ def mirror_ls(
     rng: RngStream,
     fitness: Fitness | None = None,
     tally: EvalTally | None = None,
-    budget: TimeBudget | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """Test the complement of each key in randomized order, first
     improvement kept."""
-    ticker = BudgetTicker(tally, budget)
-    best = np.array(keys, copy=True)
-    best_fit = _ensure_fitness(keys, decoder, fitness, ticker.tally)
-    work = best.copy()
-    for idx in rng.permutation(len(keys)):
-        work[idx] = mirror_key(work[idx])
-        fit = evaluate(decoder, work, ticker.tally)
-        if fit.objective < best_fit.objective:
-            best_fit = fit
-            best = work.copy()
-        else:
-            work[idx] = best[idx]
-        if ticker.out_of_time():
-            return best, best_fit
-    return best, best_fit
+    return _key_scan(keys, decoder, rng, fitness, tally,
+                     lambda best, idx: (mirror_key(best[idx]),))
 
 
 def nelder_mead_iterations(n: int) -> int:
@@ -183,7 +198,6 @@ def nelder_mead_ls(
     rho: float = 0.5,
     mu: float = 0.02,
     tally: EvalTally | None = None,
-    budget: TimeBudget | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """Simplex search over three vertices using blending as the geometric
     operator (reflection, expansion, inside/outside contraction, shrink).
@@ -192,7 +206,7 @@ def nelder_mead_ls(
     """
     if not (len(keys1) == len(keys2) == len(keys3)):
         raise DimensionError("simplex vertices differ in length")
-    ticker = BudgetTicker(tally, budget)
+    ticker = BudgetTicker(tally)
     n = len(keys1)
     plus = BlendParams(rho=rho, mu=mu, factor=1)
     minus = BlendParams(rho=rho, mu=mu, factor=-1)
@@ -254,7 +268,6 @@ def rvnd(
     rng: RngStream,
     fitness: Fitness | None = None,
     tally: EvalTally | None = None,
-    budget: TimeBudget | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """Randomized variable neighborhood descent.
 
@@ -264,9 +277,9 @@ def rvnd(
     partners, so it joins the list only when the pool holds at least two
     entries.
     """
-    ticker = BudgetTicker(tally, budget)
+    tally = tally if tally is not None else EvalTally()
     best = np.array(keys, copy=True)
-    best_fit = _ensure_fitness(keys, decoder, fitness, ticker.tally)
+    best_fit = _ensure_fitness(keys, decoder, fitness, tally)
 
     def full_list():
         names = [SWAP, FAREY, MIRROR]
@@ -276,21 +289,20 @@ def rvnd(
 
     active = full_list()
     while active:
-        if budget is not None and budget.expired(ticker.tally.count):
+        if tally.expired():
             break
         name = active[rng.integers(0, len(active))]
         if name == SWAP:
-            cand, cand_fit = swap_ls(best, decoder, rng, best_fit, ticker.tally, budget)
+            cand, cand_fit = swap_ls(best, decoder, rng, best_fit, tally)
         elif name == FAREY:
-            cand, cand_fit = farey_ls(best, decoder, rng, best_fit, ticker.tally, budget)
+            cand, cand_fit = farey_ls(best, decoder, rng, best_fit, tally)
         elif name == MIRROR:
-            cand, cand_fit = mirror_ls(best, decoder, rng, best_fit, ticker.tally, budget)
+            cand, cand_fit = mirror_ls(best, decoder, rng, best_fit, tally)
         else:
             k2, f2 = pool.sample(rng)
             k3, f3 = pool.sample(rng)
             cand, cand_fit = nelder_mead_ls(
-                best, k2, k3, decoder, rng, (best_fit, f2, f3),
-                tally=ticker.tally, budget=budget,
+                best, k2, k3, decoder, rng, (best_fit, f2, f3), tally=tally,
             )
         if cand_fit.objective < best_fit.objective:
             best, best_fit = cand, cand_fit

@@ -114,7 +114,6 @@ def init_pool(
     decoder: Decoder,
     rng: RngStream,
     eps_clone: float = DEFAULT_EPS_CLONE,
-    tally: EvalTally | None = None,
     budget: TimeBudget | None = None,
 ) -> ElitePool:
     """Fill a fresh pool with `capacity` random vectors, each refined by one
@@ -126,11 +125,11 @@ def init_pool(
     with a full pool.
     """
     pool = ElitePool(capacity, eps_clone)
-    tally = tally if tally is not None else EvalTally()
+    tally = EvalTally(budget)
     for _ in range(capacity):
         keys = random_vector(decoder.dimension, rng)
         fit = evaluate(decoder, keys, tally)
-        keys, fit = farey_ls(keys, decoder, rng, fit, tally, budget)
+        keys, fit = farey_ls(keys, decoder, rng, fit, tally)
         if pool.offer(keys, fit):
             continue
         placed = False

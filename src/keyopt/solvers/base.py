@@ -33,11 +33,10 @@ class BestTracker:
     """Tracks a solver's own best solution.
 
     Every strict improvement is appended to the trace, timestamped with the
-    budget clock, and offered to the shared elite pool.
+    run meter's clock, and offered to the shared elite pool.
     """
 
-    def __init__(self, budget: TimeBudget, tally: EvalTally, pool: ElitePool | None = None):
-        self.budget = budget
+    def __init__(self, tally: EvalTally, pool: ElitePool | None = None):
         self.tally = tally
         self.pool = pool
         self.best_keys: np.ndarray | None = None
@@ -54,7 +53,7 @@ class BestTracker:
             return False
         self.best_keys = np.array(keys, copy=True)
         self.best_fitness = fitness
-        self.time_to_best = self.budget.elapsed(self.tally.count)
+        self.time_to_best = self.tally.elapsed()
         self.trace.append((self.time_to_best, fitness.objective))
         if self.pool is not None:
             self.pool.offer(keys, fitness)
@@ -74,8 +73,8 @@ class BestTracker:
 
 
 class SolverRun:
-    """One driver run: its evaluation tally, its best-so-far tracker and its
-    parameter controller.
+    """One driver run: its meter (the evaluation tally spent against the
+    run's budget), its best-so-far tracker and its parameter controller.
 
     `iterations()` drives the outer loop.  Each step yields the parameter
     record to use; with a controller attached, that record is the
@@ -84,12 +83,11 @@ class SolverRun:
     """
 
     def __init__(self, decoder: Decoder, params, pool: ElitePool | None, budget: TimeBudget,
-                 tally: EvalTally | None = None, controller: QController | None = None):
+                 controller: QController | None = None):
         self.decoder = decoder
         self.params = params
-        self.budget = budget
-        self.tally = tally if tally is not None else EvalTally()
-        self.tracker = BestTracker(budget, self.tally, pool)
+        self.tally = EvalTally(budget)
+        self.tracker = BestTracker(self.tally, pool)
         self.controller = controller
 
     def evaluate(self, keys: np.ndarray) -> Fitness:
@@ -105,7 +103,7 @@ class SolverRun:
         return keys, fit
 
     def expired(self) -> bool:
-        return self.budget.expired(self.tally.count)
+        return self.tally.expired()
 
     def iterations(self):
         """Parameter records, one per outer iteration, until the budget
@@ -116,15 +114,13 @@ class SolverRun:
             evals_before = self.tally.count
             params = self.params
             if self.controller is not None:
-                params = with_overrides(params, self.controller.select(self._progress()))
+                params = with_overrides(params, self.controller.select(self.tally.progress()))
             yield params
             if self.controller is not None:
-                self.controller.observe(prev_best, self.tracker.best_objective, self._progress())
+                self.controller.observe(prev_best, self.tracker.best_objective,
+                                        self.tally.progress())
             if self.tally.count == evals_before:
                 return
-
-    def _progress(self) -> float:
-        return self.budget.progress(self.tally.count)
 
     def result(self, solver: str) -> RunResult:
         return self.tracker.result(solver)

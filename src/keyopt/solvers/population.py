@@ -4,7 +4,7 @@ optimization."""
 
 import numpy as np
 
-from ..core import Decoder, EvalTally, RngStream, TimeBudget, clamp_keys, random_vector
+from ..core import Decoder, RngStream, TimeBudget, clamp_keys, random_vector
 from ..local_search import rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
@@ -61,13 +61,12 @@ def run_brkga(
     pool: ElitePool | None,
     rng: RngStream,
     budget: TimeBudget,
-    tally: EvalTally | None = None,
     controller: QController | None = None,
 ) -> RunResult:
     """Generational loop copying the elite block, injecting mutants, and
     filling the rest with elite-biased uniform crossover; every new
     generation best is intensified with RVND."""
-    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    run = SolverRun(decoder, params, pool, budget, controller)
     pop, fits = _init_population(run, params.p, rng)
     pop, fits = _sorted_population(pop, fits)
 
@@ -100,7 +99,7 @@ def run_brkga(
         tracker = run.tracker
         if tracker.best_objective < prev_best:
             improved, improved_fit = run.keep(*rvnd(
-                tracker.best_keys, decoder, pool, rng, tracker.best_fitness, run.tally, budget
+                tracker.best_keys, decoder, pool, rng, tracker.best_fitness, run.tally
             ))
             pop[-1] = improved
             fits[-1] = improved_fit
@@ -121,12 +120,11 @@ def run_ga(
     pool: ElitePool | None,
     rng: RngStream,
     budget: TimeBudget,
-    tally: EvalTally | None = None,
     controller: QController | None = None,
 ) -> RunResult:
     """Tournament selection, blending crossover with probability pc (parents
     are copied otherwise), elitism, and RVND on each generation's best."""
-    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    run = SolverRun(decoder, params, pool, budget, controller)
     pop, fits = _init_population(run, params.p, rng)
 
     for p in run.iterations():
@@ -157,7 +155,7 @@ def run_ga(
 
         best_idx = min(range(len(new_pop)), key=lambda i: new_fits[i].objective)
         improved, improved_fit = run.keep(*rvnd(
-            new_pop[best_idx], decoder, pool, rng, new_fits[best_idx], run.tally, budget
+            new_pop[best_idx], decoder, pool, rng, new_fits[best_idx], run.tally
         ))
         if improved_fit.objective < new_fits[best_idx].objective:
             worst_idx = max(range(len(new_pop)), key=lambda i: new_fits[i].objective)
@@ -179,12 +177,11 @@ def run_pso(
     pool: ElitePool | None,
     rng: RngStream,
     budget: TimeBudget,
-    tally: EvalTally | None = None,
     controller: QController | None = None,
 ) -> RunResult:
     """Velocity-driven swarm over the key hypercube; one uniformly random
     particle per generation is polished with RVND."""
-    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    run = SolverRun(decoder, params, pool, budget, controller)
     pos, fits = _init_population(run, params.p, rng)
     vel = [np.zeros(decoder.dimension) for _ in pos]
     p_best = [k.copy() for k in pos]
@@ -228,7 +225,7 @@ def run_pso(
 
         j = rng.integers(0, len(pos))
         polished, polished_fit = run.keep(
-            *rvnd(pos[j], decoder, pool, rng, fits[j], run.tally, budget))
+            *rvnd(pos[j], decoder, pool, rng, fits[j], run.tally))
         if polished_fit.objective < fits[j].objective:
             pos[j] = polished
             fits[j] = polished_fit

@@ -11,7 +11,7 @@ change which solver finds what first, but every invariant still holds.
 import threading
 from dataclasses import dataclass, field
 
-from ..core import Decoder, EvalTally, RngStream, TimeBudget
+from ..core import Decoder, RngStream, TimeBudget
 from ..pool import DEFAULT_CAPACITY, ElitePool, init_pool
 from ..qlearning import QController
 from .base import RunResult
@@ -87,8 +87,7 @@ def run_portfolio(
         def work():
             try:
                 results[name] = SOLVERS[name](
-                    decoder, params, pool, rng, budget,
-                    tally=EvalTally(), controller=controller,
+                    decoder, params, pool, rng, budget, controller=controller,
                 )
             except BaseException as exc:  # noqa: BLE001 - reported to the caller
                 if len(methods) == 1:

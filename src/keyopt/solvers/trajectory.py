@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..core import Decoder, EvalTally, RngStream, TimeBudget, evaluate, random_vector
-from ..local_search import FAREY_GAPS, BudgetTicker, draw_in_interval, rvnd
+from ..local_search import BudgetTicker, best_key_value, farey_draws, rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
 from ..variation import ShakeParams, shake
@@ -32,12 +32,11 @@ def run_sa(
     pool: ElitePool | None,
     rng: RngStream,
     budget: TimeBudget,
-    tally: EvalTally | None = None,
     controller: QController | None = None,
 ) -> RunResult:
     """Metropolis sampling over shaken neighbors with geometric cooling; the
     incumbent is polished by RVND before every temperature drop."""
-    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    run = SolverRun(decoder, params, pool, budget, controller)
     keys = random_vector(decoder.dimension, rng)
     fit = run.evaluate(keys)
 
@@ -51,7 +50,7 @@ def run_sa(
             cand_fit = run.evaluate(cand)
             if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
                 keys, fit = cand, cand_fit
-        keys, fit = run.keep(*rvnd(keys, decoder, pool, rng, fit, run.tally, budget))
+        keys, fit = run.keep(*rvnd(keys, decoder, pool, rng, fit, run.tally))
         temp *= p.alpha
         if temp < TEMP_FLOOR:
             temp = p.t0
@@ -64,18 +63,17 @@ def run_ils(
     pool: ElitePool | None,
     rng: RngStream,
     budget: TimeBudget,
-    tally: EvalTally | None = None,
     controller: QController | None = None,
 ) -> RunResult:
     """Shake the best-so-far, descend with RVND, keep the result when it
     improves."""
-    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    run = SolverRun(decoder, params, pool, budget, controller)
     incumbent = random_vector(decoder.dimension, rng)
     fit = run.evaluate(incumbent)
 
     for p in run.iterations():
         cand = shake(incumbent, _shake_range(p.beta_min, p.beta_max), rng)
-        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, None, run.tally, budget))
+        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, None, run.tally))
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
     return run.result("ils")
@@ -87,13 +85,12 @@ def run_vns(
     pool: ElitePool | None,
     rng: RngStream,
     budget: TimeBudget,
-    tally: EvalTally | None = None,
     controller: QController | None = None,
 ) -> RunResult:
     """Shaking intensity grows with the neighborhood index k (rate k *
     beta_min); improvement resets k to 1, failure advances it, and k wraps
     after k_max."""
-    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    run = SolverRun(decoder, params, pool, budget, controller)
     incumbent = random_vector(decoder.dimension, rng)
     fit = run.evaluate(incumbent)
 
@@ -101,7 +98,7 @@ def run_vns(
     for p in run.iterations():
         beta = min(1.0, k * p.beta_min)
         cand = shake(incumbent, ShakeParams(beta, beta), rng)
-        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, None, run.tally, budget))
+        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, None, run.tally))
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
             k = 1
@@ -112,48 +109,34 @@ def run_vns(
     return run.result("vns")
 
 
-def _line_search(work, idx, spacing, decoder, rng, ticker):
-    """Best value for one key over a grid of the given spacing, one uniform
-    draw per grid cell; restores the key before returning."""
-    original = work[idx]
-    best_v = None
-    best_fit = None
-    cells = math.ceil(1.0 / spacing)
-    for c in range(cells):
+def _grid_draws(spacing, rng):
+    """One uniform draw per cell of a grid of the given spacing over [0, 1),
+    drawn lazily."""
+    for c in range(math.ceil(1.0 / spacing)):
         lo = c * spacing
         hi = min((c + 1) * spacing, 1.0)
-        if hi <= lo:
-            continue
-        work[idx] = rng.uniform(lo, hi)
-        fit = evaluate(decoder, work, ticker.tally)
-        if best_fit is None or fit.objective < best_fit.objective:
-            best_v, best_fit = work[idx], fit
-        if ticker.out_of_time():
-            break
-    work[idx] = original
-    return best_v, best_fit
+        if hi > lo:
+            yield rng.uniform(lo, hi)
 
 
-def _construct(incumbent, spacing, gamma, decoder, rng, tally, budget):
+def _construct(incumbent, spacing, gamma, decoder, rng, tally):
     """Semi-greedy construction: line-search every unfixed key, fix a random
     member of the restricted candidate list at its best value, repeat.
 
     Returns (None, None) when the budget expires before construction ends.
     """
-    ticker = BudgetTicker(tally, budget)
+    ticker = BudgetTicker(tally)
     work = incumbent.copy()
     unfixed = list(range(len(work)))
     fit = None
     while unfixed:
-        if budget is not None and budget.expired(ticker.tally.count):
+        if ticker.tally.expired():
             return None, None
         values = {}
         fits = {}
         for i in unfixed:
-            v, f = _line_search(work, i, spacing, decoder, rng, ticker)
-            if v is None:
-                return None, None
-            values[i], fits[i] = v, f
+            values[i], fits[i] = best_key_value(
+                work, i, _grid_draws(spacing, rng), decoder, ticker)
         objs = [fits[i].objective for i in unfixed]
         g_best, g_worst = min(objs), max(objs)
         threshold = g_best + gamma * (g_worst - g_best)
@@ -171,7 +154,6 @@ def run_grasp(
     pool: ElitePool | None,
     rng: RngStream,
     budget: TimeBudget,
-    tally: EvalTally | None = None,
     controller: QController | None = None,
 ) -> RunResult:
     """Semi-greedy construction over a shrinking grid followed by RVND, with
@@ -180,7 +162,7 @@ def run_grasp(
     The grid spacing starts at hs, halves after every non-improving
     iteration, and resets to hs once it would pass he.
     """
-    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    run = SolverRun(decoder, params, pool, budget, controller)
     incumbent = random_vector(decoder.dimension, rng)
     fit = run.evaluate(incumbent)
 
@@ -188,10 +170,10 @@ def run_grasp(
     temp = params.t0
     for p in run.iterations():
         gamma = rng.random()
-        cand, cand_fit = _construct(incumbent, spacing, gamma, decoder, rng, run.tally, budget)
+        cand, cand_fit = _construct(incumbent, spacing, gamma, decoder, rng, run.tally)
         if cand is None:
             break
-        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, cand_fit, run.tally, budget))
+        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, cand_fit, run.tally))
         improved = cand_fit.objective < fit.objective
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             incumbent, fit = cand, cand_fit
@@ -212,31 +194,15 @@ def lns_repair(
     rng: RngStream,
     fitness=None,
     tally: EvalTally | None = None,
-    budget: TimeBudget | None = None,
 ):
     """Rebuild the removed keys one at a time in random order, giving each
     the best of one draw per Farey interval."""
-    ticker = BudgetTicker(tally, budget)
+    ticker = BudgetTicker(tally)
     work = np.array(keys, copy=True)
     fit = fitness if fitness is not None else evaluate(decoder, work, ticker.tally)
-    stop = False
     for idx in rng.gen.permutation(np.asarray(removed)):
-        best_v = None
-        best_fit = None
-        for lo, hi in FAREY_GAPS:
-            work[idx] = draw_in_interval(rng, lo, hi)
-            cand = evaluate(decoder, work, ticker.tally)
-            if best_fit is None or cand.objective < best_fit.objective:
-                best_v, best_fit = work[idx], cand
-            if ticker.out_of_time():
-                stop = True
-                break
-        if best_v is None:
-            work[idx] = keys[idx]
-        else:
-            work[idx] = best_v
-            fit = best_fit
-        if stop:
+        work[idx], fit = best_key_value(work, idx, farey_draws(rng), decoder, ticker)
+        if ticker.fired:
             break
     return work, fit
 
@@ -247,13 +213,12 @@ def run_lns(
     pool: ElitePool | None,
     rng: RngStream,
     budget: TimeBudget,
-    tally: EvalTally | None = None,
     controller: QController | None = None,
 ) -> RunResult:
     """Destroy a random share of the keys, repair them Farey-greedily,
     accept by the Metropolis rule, and polish every new global best with
     RVND."""
-    run = SolverRun(decoder, params, pool, budget, tally, controller)
+    run = SolverRun(decoder, params, pool, budget, controller)
     keys = random_vector(decoder.dimension, rng)
     fit = run.evaluate(keys)
 
@@ -264,9 +229,9 @@ def run_lns(
         beta = rng.uniform(lo, hi) if hi > lo else lo
         count = min(n, max(1, math.ceil(beta * n)))
         removed = rng.choice(n, size=count, replace=False)
-        cand, cand_fit = lns_repair(keys, removed, decoder, rng, fit, run.tally, budget)
+        cand, cand_fit = lns_repair(keys, removed, decoder, rng, fit, run.tally)
         if run.tracker.consider(cand, cand_fit):
-            cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, cand_fit, run.tally, budget))
+            cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, cand_fit, run.tally))
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             keys, fit = cand, cand_fit
         temp *= p.alpha

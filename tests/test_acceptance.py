@@ -10,7 +10,7 @@ import pytest
 
 import instgen
 from keyopt.cli import main
-from keyopt.core import EvalTally, Fitness, RngStream, TimeBudget, random_vector
+from keyopt.core import Fitness, RngStream, TimeBudget, random_vector
 from keyopt.local_search import (
     FAREY_ORDER7,
     farey_ls,
@@ -435,7 +435,6 @@ def test_criterion_11_portfolio_dominance(acceptance_instances):
                 pool = init_pool(20, decoder, RngStream(seed, 0), budget=budget)
                 solo = SOLVERS[name](
                     decoder, params[name], pool, RngStream(seed, 1), budget,
-                    tally=EvalTally(),
                 )
                 assert close_enough(portfolio_best, solo.best_fitness.objective), (
                     f"{problem}[{idx}] {name}: portfolio {portfolio_best} "

@@ -5,7 +5,6 @@ from keyopt.core import (
     DimensionError,
     EvalTally,
     Fitness,
-    InvalidIntervalError,
     KEY_MAX,
     RngStream,
     TimeBudget,
@@ -13,9 +12,7 @@ from keyopt.core import (
     evaluate,
     mirror_key,
     random_vector,
-    unif_rand,
 )
-from keyopt.local_search import FAREY_ORDER7
 from keyopt.problems import TspDecoder, TspInstance
 
 
@@ -64,36 +61,6 @@ def test_distinct_streams_differ():
     assert a.tobytes() != b.tobytes()
 
 
-def test_unif_rand_basic_range():
-    rng = RngStream(3, 0)
-    for _ in range(100):
-        v = unif_rand(rng, 0.0, 1.0)
-        assert 0.0 <= v < 1.0
-
-
-def test_unif_rand_farey_interval():
-    rng = RngStream(4, 0)
-    for j in range(len(FAREY_ORDER7) - 1):
-        lo, hi = FAREY_ORDER7[j], FAREY_ORDER7[j + 1]
-        for _ in range(50):
-            v = unif_rand(rng, lo, hi)
-            assert lo <= v < hi
-
-
-def test_unif_rand_monte_carlo_mean():
-    rng = RngStream(5, 0)
-    draws = [unif_rand(rng, 0.25, 0.5) for _ in range(10000)]
-    assert abs(sum(draws) / len(draws) - 0.375) < 0.01
-
-
-def test_unif_rand_rejects_bad_interval():
-    rng = RngStream(1, 0)
-    with pytest.raises(InvalidIntervalError):
-        unif_rand(rng, 0.5, 0.5)
-    with pytest.raises(InvalidIntervalError):
-        unif_rand(rng, 0.7, 0.2)
-
-
 def test_fitness_invariants():
     clean = Fitness.of(12.5)
     assert clean.feasible and clean.penalty == 0.0 and clean.objective == 12.5
@@ -135,6 +102,26 @@ def test_evaluate_constant_decoder_and_tally():
     for _ in range(99):
         evaluate(decoder, keys, tally)
     assert tally.count == 100
+
+
+def test_tally_without_budget_never_expires():
+    tally = EvalTally()
+    for _ in range(1000):
+        tally.tick()
+    assert tally.budget is None and not tally.expired()
+
+
+def test_tally_reads_its_budget_at_its_own_count():
+    budget = TimeBudget(max_evals=40)
+    tally = EvalTally(budget)
+    for _ in range(10):
+        tally.tick()
+    assert tally.elapsed() == budget.elapsed(10) == 10.0
+    assert tally.progress() == budget.progress(10) == 0.25
+    assert not tally.expired()
+    for _ in range(30):
+        tally.tick()
+    assert tally.expired()
 
 
 def test_evaluate_rejects_dimension_mismatch():

@@ -188,6 +188,26 @@ sa.sa_max = 25
     assert config.overrides == {"sa": {"t0": 500.0, "sa_max": 25.0}}
 
 
+def test_parse_config_rejects_unknown_key(tmp_path):
+    path = tmp_path / "bench.cfg"
+    path.write_text("problem = pmedian\ninstance = a.pmed\nmax_eval = 200\n")
+    with pytest.raises(ValueError, match=r"bench.cfg line 3: unknown key 'max_eval'"):
+        parse_config(path)
+
+
+def test_unknown_method_fails_before_any_cell_runs(pmed_files, tmp_path):
+    paths, _ = pmed_files
+    out = tmp_path / "out"
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"problem = pmedian\ninstance = {paths[0]}\nmethods = sa ilss\n"
+                   f"runs = 1\nmax_evals = 50\noutput_dir = {out}\n")
+    with pytest.raises(ValueError, match=r"unknown method: ilss \(choose from portfolio, "):
+        main(["bench", "--config", str(cfg)])
+    assert not out.exists()
+    with pytest.raises(ValueError, match="ilss"):
+        ExperimentConfig(problem="pmedian", instances=[], methods=["ilss"])
+
+
 def test_cli_solve_writes_deterministic_csv(pmed_files, tmp_path, capsys):
     paths, _ = pmed_files
     outputs = []

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import instgen
+import keyopt.local_search as local_search
+import keyopt.solvers.trajectory as trajectory
 from keyopt.core import EvalTally, Fitness, RngStream, TimeBudget, random_vector
 from keyopt.local_search import (
+    BUDGET_CHECK_EVERY,
     FAREY_ORDER7,
+    BudgetTicker,
+    best_key_value,
     draw_in_interval,
     farey_ls,
     mirror_ls,
@@ -22,6 +27,7 @@ from keyopt.problems import (
     TspInstance,
     brute_force_pmedian,
 )
+from keyopt.solvers import defaults_for
 
 
 class ConstantDecoder:
@@ -43,6 +49,16 @@ class RecordingDecoder:
     def decode(self, keys):
         self.seen.append(np.array(keys, copy=True))
         return Fitness.of(0.0), None
+
+
+class DistanceToHalfDecoder:
+    """Objective |keys[1] - 0.5|."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+
+    def decode(self, keys):
+        return Fitness.of(abs(float(keys[1]) - 0.5)), None
 
 
 class FoldSymmetricDecoder:
@@ -232,8 +248,55 @@ def test_local_searches_respect_eval_budget(tiny_decoders):
     decoder = tiny_decoders["pmedian"]
     rng = RngStream(16, 0)
     keys = random_vector(decoder.dimension, rng)
-    tally = EvalTally()
-    budget = TimeBudget(max_evals=70)
-    out, fit = rvnd(keys, decoder, None, rng, tally=tally, budget=budget)
+    tally = EvalTally(TimeBudget(max_evals=70))
+    out, fit = rvnd(keys, decoder, None, rng, tally=tally)
     assert tally.count <= 70 + 64  # one check window of slack
     assert fit.objective <= decoder.decode(keys)[0].objective
+
+
+def test_best_key_value_returns_first_of_tied_minima_and_restores_work():
+    work = np.array([0.5, 0.1, 0.2])
+    ticker = BudgetTicker(None)
+    v, fit = best_key_value(work, 1, (0.9, 0.25, 0.75, 0.8), DistanceToHalfDecoder(3), ticker)
+    assert v == 0.25 and fit.objective == 0.25  # 0.75 ties and comes later
+    assert np.array_equal(work, [0.5, 0.1, 0.2])
+    assert ticker.tally.count == 4 and not ticker.fired
+
+
+def test_best_key_value_stops_at_the_budget_poll_and_draws_no_more():
+    tally = EvalTally(TimeBudget(max_evals=1))
+    ticker = BudgetTicker(tally)
+    rng = RngStream(21, 0)
+    values = (rng.random() for _ in range(3 * BUDGET_CHECK_EVERY))
+    best_key_value(np.zeros(2), 0, values, ConstantDecoder(2), ticker)
+    assert ticker.fired and tally.count == BUDGET_CHECK_EVERY
+    twin = RngStream(21, 0)
+    for _ in range(BUDGET_CHECK_EVERY):
+        twin.random()
+    assert rng.random() == twin.random()
+
+
+def test_rvnd_and_drivers_look_up_searches_at_call_time(tiny_decoders, monkeypatch):
+    """Tools that instrument runs replace these module globals; a name bound
+    at import time would bypass them."""
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for name in ("swap_ls", "farey_ls", "mirror_ls"):
+        count(local_search, name)
+    count(trajectory, "rvnd")
+    decoder = tiny_decoders["pmedian"]
+    rng = RngStream(17, 0)
+    local_search.rvnd(random_vector(decoder.dimension, rng), decoder, None, rng)
+    assert calls.keys() >= {"swap_ls", "farey_ls", "mirror_ls"}
+    trajectory.run_ils(decoder, defaults_for("pmedian")["ils"], None, RngStream(17, 1),
+                       TimeBudget(max_evals=200))
+    assert calls.get("rvnd", 0) >= 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import instgen
-from keyopt.core import EvalTally, RngStream, TimeBudget, random_vector
+from keyopt.core import RngStream, TimeBudget, random_vector
 from keyopt.pool import init_pool
 from keyopt.problems import PMedianDecoder, brute_force_pmedian
 from keyopt.solvers import (
@@ -37,7 +37,7 @@ def run_one(name, decoder, seed, seconds=None, max_evals=None, controller=None):
     pool = init_pool(10, decoder, RngStream(seed, 0), budget=budget)
     rng = RngStream(seed, 1)
     return SOLVERS[name](decoder, params, pool, rng, budget,
-                         tally=EvalTally(), controller=controller)
+                         controller=controller)
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
@@ -76,8 +76,7 @@ def test_solver_improvements_reach_pool(oracle_case):
     params = defaults_for("pmedian")["ils"]
     budget = TimeBudget(max_evals=3000)
     pool = init_pool(10, decoder, RngStream(13, 0), budget=budget)
-    result = SOLVERS["ils"](decoder, params, pool, RngStream(13, 1), budget,
-                            tally=EvalTally())
+    result = SOLVERS["ils"](decoder, params, pool, RngStream(13, 1), budget)
     _, pool_best = pool.best()
     assert pool_best.objective <= result.best_fitness.objective + 1e-12
 
@@ -203,7 +202,7 @@ def test_solver_with_controller_stays_functional(oracle_case):
     rng = RngStream(31, 1)
     controller = QController(control_grid("sa", params), rng)
     result = run_sa(decoder, params, pool, rng, budget,
-                    tally=EvalTally(), controller=controller)
+                    controller=controller)
     assert result.best_fitness.objective < math.inf
     assert controller.qtable  # the controller actually learned something
 
