@@ -22,13 +22,12 @@ from .harness import (
     wilcoxon_csv_from_rows,
     write_traces,
 )
-from .problems import brute_force, load_instance, make_decoder
+from .problems import PROBLEMS, brute_force, load_instance, make_decoder
 from .solvers import SOLVER_NAMES, defaults_for
 
 
 def _add_instance_args(parser):
-    parser.add_argument("--problem", required=True,
-                        help="tsp, setcover, pmedian, partition, or hubtree")
+    parser.add_argument("--problem", required=True, choices=list(PROBLEMS))
     parser.add_argument("--instance", required=True, help="instance file path")
     parser.add_argument("--alpha", type=int, default=1,
                         help="neighbor count for pmedian instances")

@@ -2,14 +2,13 @@
 seeds, collects result rows, and writes the report files (results, summary,
 performance profile, Wilcoxon matrix)."""
 
-import concurrent.futures
 import hashlib
 import math
 import os
 from dataclasses import dataclass, field
 
 from .metrics import performance_profile, rpd, wilcoxon_one_sided
-from .problems import load_instance, make_decoder
+from .problems import get_problem, load_instance, make_decoder
 from .solvers import SOLVER_NAMES, defaults_for, run_portfolio, with_overrides
 
 # Relative tolerance when calling an objective equal to the best-known value.
@@ -51,7 +50,6 @@ class ExperimentConfig:
     params_mode: str = "table"  # "table" or "qlearning"
     overrides: dict = field(default_factory=dict)  # solver -> {param: value}
     bks_path: str | None = None
-    workers: int = 1
     profile_tolerance: float = 1.0
 
     def __post_init__(self):
@@ -68,20 +66,9 @@ class ExperimentConfig:
 
 
 def default_time_limit(problem_id: str, instance) -> float:
-    """Per-problem wall-clock rule: a tenth of the vertex count for the
-    p-median, the station count for partitioning, the node count for hub
-    trees, and a tenth of the dimension otherwise."""
-    if problem_id == "pmedian":
-        return 0.1 * instance.n
-    if problem_id == "partition":
-        return float(instance.stations)
-    if problem_id == "hubtree":
-        return float(instance.n)
-    if problem_id == "tsp":
-        return 0.1 * instance.n
-    if problem_id == "setcover":
-        return 0.1 * instance.n
-    raise ValueError(f"no time-limit rule for problem {problem_id}")
+    """The problem's default wall-clock rule, as `problems.PROBLEMS` declares
+    it."""
+    return get_problem(problem_id).time_limit(instance)
 
 
 def time_limit(problem_id: str, instance, seconds: float | None,
@@ -160,7 +147,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     params = solver_params(config)
     q_control = config.params_mode == "qlearning"
 
-    cells = []
+    rows = []
     failures = []
     for path in config.instances:
         name = os.path.basename(str(path))
@@ -173,28 +160,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         seconds = time_limit(config.problem, instance, config.time_limit, config.max_evals)
         for method in config.methods:
             for run in range(config.runs):
-                cells.append((name, decoder, method, run, seconds))
-
-    def execute(cell):
-        name, decoder, method, run, seconds = cell
-        seed = cell_seed(config.seed, name, method, run)
-        result = run_cell(
-            config.problem, decoder, method, params, seed,
-            seconds, config.max_evals, config.pool_capacity, q_control,
-        )
-        return ResultRow(
-            instance=name, method=method, run=run,
-            objective=result.best_fitness.objective,
-            time_to_best=result.time_to_best,
-            evaluations=result.evaluations,
-        )
-
-    rows = []
-    if config.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool_exec:
-            rows = list(pool_exec.map(execute, cells))
-    else:
-        rows = [execute(cell) for cell in cells]
+                result = run_cell(
+                    config.problem, decoder, method, params,
+                    cell_seed(config.seed, name, method, run),
+                    seconds, config.max_evals, config.pool_capacity, q_control,
+                )
+                rows.append(ResultRow(
+                    instance=name, method=method, run=run,
+                    objective=result.best_fitness.objective,
+                    time_to_best=result.time_to_best,
+                    evaluations=result.evaluations,
+                ))
 
     files = {}
     results_path = os.path.join(config.output_dir, "results.csv")
@@ -365,9 +341,15 @@ CONFIG_KEYS = {
     "pool_size": ("pool_capacity", int),
     "params": ("params_mode", str),
     "bks": ("bks_path", str),
-    "workers": ("workers", int),
     "profile_tolerance": ("profile_tolerance", float),
 }
+
+
+def _cast(cast, value: str, path, lineno: int, key: str):
+    try:
+        return cast(value)
+    except ValueError:
+        raise ValueError(f"{path} line {lineno}: bad value {value!r} for {key!r}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -391,13 +373,14 @@ def parse_config(path) -> ExperimentConfig:
                 instances.extend(value.split())
             elif "." in key:
                 solver, param = key.split(".", 1)
-                overrides.setdefault(solver, {})[param] = float(value)
+                overrides.setdefault(solver, {})[param] = _cast(float, value, path, lineno, key)
             elif key in CONFIG_KEYS:
                 name, cast = CONFIG_KEYS[key]
-                fields[name] = cast(value)
+                fields[name] = _cast(cast, value, path, lineno, key)
             else:
                 raise ValueError(f"{path} line {lineno}: unknown key {key!r} "
                                  f"(choose from {', '.join(CONFIG_KEYS)})")
     if "problem" not in fields:
         raise ValueError(f"{path}: no 'problem' line")
     return ExperimentConfig(instances=instances, overrides=overrides, **fields)
+

@@ -102,12 +102,6 @@ class ElitePool:
         with self._lock:
             return [(keys.copy(), fit) for _, keys, fit in self._entries]
 
-    def dump(self, path) -> None:
-        """One line per entry: objective then the keys."""
-        with open(path, "w") as fh:
-            for keys, fit in self.snapshot():
-                fh.write(f"{fit.objective!r} " + " ".join(repr(float(k)) for k in keys) + "\n")
-
 
 def init_pool(
     capacity: int,

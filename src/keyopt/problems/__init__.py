@@ -1,5 +1,8 @@
 """Shipped problem decoders, instance parsers, and brute-force oracles."""
 
+from collections.abc import Callable
+from dataclasses import dataclass
+
 from .hubtree import (
     HubTreeDecoder,
     HubTreeInstance,
@@ -33,58 +36,64 @@ from .setcover import (
 )
 from .tsp import TspDecoder, TspInstance, brute_force_tsp, parse_tsp, write_tsp
 
-PROBLEM_IDS = ("tsp", "setcover", "pmedian", "partition", "hubtree")
 
-_PARSERS = {
-    "tsp": parse_tsp,
-    "setcover": parse_setcover,
-    "pmedian": parse_orlib_pmed,
-    "partition": parse_partition,
-    "hubtree": parse_hubtree,
+@dataclass(frozen=True)
+class Problem:
+    """Everything the problem-independent layer knows about one problem."""
+
+    parse: Callable  # instance file path -> instance
+    decoder: Callable  # instance -> Decoder
+    oracle: Callable  # instance -> (exact optimum, certificate)
+    time_limit: Callable  # instance -> default wall-clock seconds of a run
+    takes_alpha: bool = False  # `parse` accepts the neighbour count `alpha`
+
+
+# The single declaration of every shipped problem.
+PROBLEMS = {
+    "tsp": Problem(parse_tsp, TspDecoder, brute_force_tsp, lambda inst: 0.1 * inst.n),
+    "setcover": Problem(parse_setcover, SetCoverDecoder, brute_force_setcover,
+                        lambda inst: 0.1 * inst.n),
+    "pmedian": Problem(parse_orlib_pmed, PMedianDecoder, brute_force_pmedian,
+                       lambda inst: 0.1 * inst.n, takes_alpha=True),
+    "partition": Problem(parse_partition, PartitionDecoder, brute_force_partition,
+                         lambda inst: float(inst.stations)),
+    "hubtree": Problem(parse_hubtree, HubTreeDecoder, brute_force_hubtree,
+                       lambda inst: float(inst.n)),
 }
 
-_DECODERS = {
-    "tsp": TspDecoder,
-    "setcover": SetCoverDecoder,
-    "pmedian": PMedianDecoder,
-    "partition": PartitionDecoder,
-    "hubtree": HubTreeDecoder,
-}
 
-_ORACLES = {
-    "tsp": brute_force_tsp,
-    "setcover": brute_force_setcover,
-    "pmedian": brute_force_pmedian,
-    "partition": brute_force_partition,
-    "hubtree": brute_force_hubtree,
-}
+def get_problem(problem_id: str) -> Problem:
+    """The table record of a problem id; ValueError names the choices."""
+    try:
+        return PROBLEMS[problem_id]
+    except KeyError:
+        raise ValueError(f"unknown problem: {problem_id} "
+                         f"(choose from {', '.join(PROBLEMS)})") from None
 
 
 def load_instance(problem_id: str, path, alpha: int | None = None):
-    """Parse an instance file for the given problem id."""
-    if problem_id not in _PARSERS:
-        raise ValueError(f"unknown problem: {problem_id} (choose from {PROBLEM_IDS})")
-    if problem_id == "pmedian":
-        return parse_orlib_pmed(path, alpha=alpha if alpha is not None else 1)
-    return _PARSERS[problem_id](path)
+    """Parse an instance file for the given problem id.  `alpha` reaches
+    only parsers that take it; None keeps the parser's default."""
+    problem = get_problem(problem_id)
+    if problem.takes_alpha and alpha is not None:
+        return problem.parse(path, alpha=alpha)
+    return problem.parse(path)
 
 
 def make_decoder(problem_id: str, instance):
-    if problem_id not in _DECODERS:
-        raise ValueError(f"unknown problem: {problem_id} (choose from {PROBLEM_IDS})")
-    return _DECODERS[problem_id](instance)
+    return get_problem(problem_id).decoder(instance)
 
 
 def brute_force(problem_id: str, instance):
     """Exact optimum (objective, certificate); guarded against instances too
     large to enumerate."""
-    if problem_id not in _ORACLES:
-        raise ValueError(f"unknown problem: {problem_id} (choose from {PROBLEM_IDS})")
-    return _ORACLES[problem_id](instance)
+    return get_problem(problem_id).oracle(instance)
 
 
 __all__ = [
-    "PROBLEM_IDS",
+    "PROBLEMS",
+    "Problem",
+    "get_problem",
     "load_instance",
     "make_decoder",
     "brute_force",

@@ -16,7 +16,8 @@ import os
 
 import numpy as np
 
-from ..core import Decoder, Fitness, ParseError, SizeGuardError
+from ..core import Decoder, Fitness, SizeGuardError
+from ._text import open_instance
 
 ENUMERATION_LIMIT = 10**8
 
@@ -182,50 +183,17 @@ class HubTreeDecoder(Decoder):
 def parse_hubtree(path) -> HubTreeInstance:
     """Plain text format: line 1 "|N| p discount", then |N| rows of the cost
     matrix and |N| rows of the demand matrix."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    content = [(i + 1, ln) for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
-    if not content:
-        raise ParseError(f"{path}: empty file")
-    lineno, header = content[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise ParseError(f"{path}: expected '|N| p discount' header, got {header!r}", lineno)
-    try:
-        n, p = int(parts[0]), int(parts[1])
-        discount = float(parts[2])
-    except ValueError:
-        raise ParseError(f"{path}: bad header {header!r}", lineno)
-    if n < 2:
-        raise ParseError(f"{path}: need at least two nodes, got {n}", lineno)
-    if not 1 <= p <= n:
-        raise ParseError(f"{path}: hub count must satisfy 1 <= p <= {n}", lineno)
-
-    rows = content[1:]
-    if len(rows) < 2 * n:
-        raise ParseError(f"{path}: expected {2 * n} matrix rows, found {len(rows)}")
-
-    def matrix(entries, what):
-        out = []
-        for lineno, ln in entries:
-            try:
-                vals = [float(tok) for tok in ln.split()]
-            except ValueError:
-                raise ParseError(f"{path}: bad {what} row {ln!r}", lineno)
-            if len(vals) != n:
-                raise ParseError(f"{path}: expected {n} {what} values per row", lineno)
-            out.append(vals)
-        return out
-
-    cost = matrix(rows[:n], "cost")
-    demand = matrix(rows[n : 2 * n], "demand")
-    try:
+    with open_instance(path) as text:
+        n, p, discount = text.header("|N| p discount", int, int, float)
+        if n < 2:
+            raise text.header_error(f"need at least two nodes, got {n}")
+        if not 1 <= p <= n:
+            raise text.header_error(f"hub count must satisfy 1 <= p <= {n}")
         return HubTreeInstance(
-            cost=cost, demand=demand, hubs=p, discount=discount,
-            name=os.path.basename(str(path)),
+            cost=text.rows(n, n, float, "cost"),
+            demand=text.rows(n, n, float, "demand"),
+            hubs=p, discount=discount, name=os.path.basename(str(path)),
         )
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}")
 
 
 def write_hubtree(instance: HubTreeInstance, path) -> None:

@@ -13,7 +13,8 @@ import os
 
 import numpy as np
 
-from ..core import Decoder, Fitness, ParseError, SizeGuardError
+from ..core import Decoder, Fitness, SizeGuardError
+from ._text import open_instance
 
 ENUMERATION_LIMIT = 10**8
 
@@ -153,45 +154,17 @@ class PartitionDecoder(Decoder):
 def parse_partition(path) -> PartitionInstance:
     """Plain text format: line 1 "|B| |N|", line 2 station traffics, line 3
     controller capacities, then |B| rows of the handover matrix."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    content = [(i + 1, ln) for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
-    if len(content) < 3:
-        raise ParseError(f"{path}: need a header, traffics, and capacities")
-    lineno, header = content[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError(f"{path}: expected '|B| |N|' header, got {header!r}", lineno)
-    try:
-        b, r = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"{path}: bad header {header!r}", lineno)
-    if b < 1 or r < 1:
-        raise ParseError(f"{path}: station and controller counts must be >= 1", lineno)
-
-    def floats(entry, expected, what):
-        lineno, ln = entry
-        try:
-            vals = [float(tok) for tok in ln.split()]
-        except ValueError:
-            raise ParseError(f"{path}: bad {what} line {ln!r}", lineno)
-        if len(vals) != expected:
-            raise ParseError(f"{path}: expected {expected} {what} values", lineno)
-        return vals
-
-    traffic = floats(content[1], b, "traffic")
-    capacity = floats(content[2], r, "capacity")
-    rows = content[3:]
-    if len(rows) < b:
-        raise ParseError(f"{path}: expected {b} handover rows, found {len(rows)}")
-    handovers = [floats(entry, b, "handover") for entry in rows[:b]]
-    try:
+    with open_instance(path) as text:
+        b, r = text.header("|B| |N|", int, int)
+        if b < 1 or r < 1:
+            raise text.header_error("station and controller counts must be >= 1")
+        (traffic,) = text.rows(1, b, float, "traffic")
+        (capacity,) = text.rows(1, r, float, "capacity")
         return PartitionInstance(
-            traffic=traffic, capacity=capacity, handovers=handovers,
+            traffic=traffic, capacity=capacity,
+            handovers=text.rows(b, b, float, "handover"),
             name=os.path.basename(str(path)),
         )
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}")
 
 
 def write_partition(instance: PartitionInstance, path) -> None:

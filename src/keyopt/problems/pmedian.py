@@ -12,7 +12,8 @@ import os
 
 import numpy as np
 
-from ..core import Decoder, Fitness, ParseError, SizeGuardError
+from ..core import Decoder, Fitness, SizeGuardError
+from ._text import open_instance
 
 ENUMERATION_LIMIT = 10**8
 
@@ -84,51 +85,33 @@ def parse_orlib_pmed(path, alpha: int = 1) -> PMedianInstance:
     1-based vertex ids.  Distances come from all-pairs shortest paths;
     unreachable pairs get a large sentinel and the instance is flagged
     disconnected."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    content = [(i + 1, ln) for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
-    if not content:
-        raise ParseError(f"{path}: empty file")
-    lineno, header = content[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise ParseError(f"{path}: expected 'n m p' header, got {header!r}", lineno)
-    try:
-        n, m, p = (int(v) for v in parts)
-    except ValueError:
-        raise ParseError(f"{path}: bad header {header!r}", lineno)
-    if n < 1 or m < 0 or not 1 <= p <= n:
-        raise ParseError(f"{path}: inconsistent header values n={n} m={m} p={p}", lineno)
+    with open_instance(path) as text:
+        n, m, p = text.header("n m p", int, int, int)
+        if n < 1 or m < 0 or not 1 <= p <= n:
+            raise text.header_error(f"inconsistent header values n={n} m={m} p={p}")
 
-    weights = np.full((n, n), math.inf)
-    edges = content[1:]
-    if len(edges) < m:
-        raise ParseError(f"{path}: expected {m} edge lines, found {len(edges)}")
-    for lineno, ln in edges[:m]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ParseError(f"{path}: expected 'i j cost', got {ln!r}", lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            cost = float(parts[2])
-        except ValueError:
-            raise ParseError(f"{path}: bad edge line {ln!r}", lineno)
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"{path}: vertex id out of range in {ln!r}", lineno)
-        if cost < 0:
-            raise ParseError(f"{path}: negative edge cost in {ln!r}", lineno)
-        # Keep the cheapest parallel edge.
-        weights[i - 1, j - 1] = min(weights[i - 1, j - 1], cost)
-        weights[j - 1, i - 1] = weights[i - 1, j - 1]
+        def edge_fault(edge):
+            i, j, cost = edge
+            if not (1 <= i <= n and 1 <= j <= n):
+                return "vertex id out of range"
+            if cost < 0:
+                return "negative edge cost"
+            return None
 
-    dist = floyd_warshall(weights)
-    connected = bool(np.isfinite(dist).all())
-    if not connected:
-        dist[~np.isfinite(dist)] = UNREACHABLE
-    return PMedianInstance(
-        dist=dist, p=p, alpha=alpha, connected=connected,
-        name=os.path.basename(str(path)),
-    )
+        weights = np.full((n, n), math.inf)
+        for i, j, cost in text.rows(m, 3, (int, int, float), "edge", check=edge_fault):
+            # Keep the cheapest parallel edge.
+            weights[i - 1, j - 1] = min(weights[i - 1, j - 1], cost)
+            weights[j - 1, i - 1] = weights[i - 1, j - 1]
+
+        dist = floyd_warshall(weights)
+        connected = bool(np.isfinite(dist).all())
+        if not connected:
+            dist[~np.isfinite(dist)] = UNREACHABLE
+        return PMedianInstance(
+            dist=dist, p=p, alpha=alpha, connected=connected,
+            name=os.path.basename(str(path)),
+        )
 
 
 def write_orlib_pmed(n: int, edges, p: int, path) -> None:

@@ -3,7 +3,8 @@ superfluous-column removal)."""
 
 import numpy as np
 
-from ..core import Decoder, Fitness, ParseError, SizeGuardError
+from ..core import Decoder, Fitness, SizeGuardError
+from ._text import open_instance
 
 ENUMERATION_LIMIT = 10**8
 
@@ -79,31 +80,11 @@ class SetCoverDecoder(Decoder):
 def parse_setcover(path) -> SetCoverInstance:
     """Plain text format: line 1 holds "m n", then m rows of the binary
     matrix."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    content = [(i + 1, ln) for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
-    if not content:
-        raise ParseError(f"{path}: empty file")
-    lineno, header = content[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError(f"{path}: expected 'm n' header, got {header!r}", lineno)
-    try:
-        m, n = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"{path}: bad header {header!r}", lineno)
-    rows = []
-    for lineno, ln in content[1:]:
-        try:
-            row = [int(tok) for tok in ln.split()]
-        except ValueError:
-            raise ParseError(f"{path}: bad matrix row {ln!r}", lineno)
-        if len(row) != n:
-            raise ParseError(f"{path}: expected {n} entries per row", lineno)
-        rows.append(row)
-    if len(rows) != m:
-        raise ParseError(f"{path}: expected {m} matrix rows, found {len(rows)}")
-    return SetCoverInstance(rows)
+    with open_instance(path) as text:
+        m, n = text.header("m n", int, int)
+        if m < 1 or n < 1:
+            raise text.header_error("row and column counts must be >= 1")
+        return SetCoverInstance(text.rows(m, n, int, "matrix"))
 
 
 def write_setcover(instance: SetCoverInstance, path) -> None:

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from ..core import Decoder, Fitness, ParseError, SizeGuardError
+from ..core import Decoder, Fitness, SizeGuardError
+from ._text import open_instance
 
 ENUMERATION_LIMIT = 10**8
 
@@ -47,34 +48,11 @@ class TspDecoder(Decoder):
 
 def parse_tsp(path) -> TspInstance:
     """Plain text format: line 1 holds n, then n rows of distances."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    rows, n = _read_matrix_file(lines, path)
-    return TspInstance(rows[:n])
-
-
-def _read_matrix_file(lines, path):
-    content = [(i + 1, ln) for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
-    if not content:
-        raise ParseError(f"{path}: empty file")
-    lineno, header = content[0]
-    try:
-        n = int(header.split()[0])
-    except ValueError:
-        raise ParseError(f"{path}: expected a node count, got {header!r}", lineno)
-    if n < 1:
-        raise ParseError(f"{path}: node count must be >= 1", lineno)
-    rows = []
-    for lineno, ln in content[1:]:
-        try:
-            rows.append([float(tok) for tok in ln.split()])
-        except ValueError:
-            raise ParseError(f"{path}: bad matrix row {ln!r}", lineno)
-        if len(rows[-1]) != n:
-            raise ParseError(f"{path}: expected {n} entries per row", lineno)
-    if len(rows) < n:
-        raise ParseError(f"{path}: expected {n} matrix rows, found {len(rows)}")
-    return rows, n
+    with open_instance(path) as text:
+        (n,) = text.header("n", int)
+        if n < 1:
+            raise text.header_error("node count must be >= 1")
+        return TspInstance(text.rows(n, n, float, "distance"))
 
 
 def write_tsp(instance: TspInstance, path) -> None:

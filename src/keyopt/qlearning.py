@@ -187,17 +187,6 @@ class QController:
         self.state = nxt
         self._pending = None
 
-    def dump(self, path) -> None:
-        """Q-table as CSV rows: state, action, Q."""
-        with open(path, "w") as fh:
-            fh.write("state,action,q\n")
-            for (state, action), q in sorted(self.qtable.items()):
-                cfg = self.grid.config(state)
-                state_txt = " ".join(f"{k}={v}" for k, v in cfg.items())
-                name = self.grid.names[action[0]]
-                val = self.grid.values[action[0]][action[1]]
-                fh.write(f"{state_txt},{name}->{val},{q!r}\n")
-
 
 def three_point_values(center: float, lo: float | None = None, hi: float | None = None,
                        integer: bool = False) -> tuple[float, ...]:

@@ -54,6 +54,8 @@ def test_default_time_limit_rules():
     assert default_time_limit("pmedian", instgen.tiny_pmedian(rng, n=20, p=3)) == 2.0
     assert default_time_limit("partition", instgen.tiny_partition(rng, b=6, r=2)) == 6.0
     assert default_time_limit("hubtree", instgen.tiny_hubtree(rng, n=7, p=3)) == 7.0
+    assert default_time_limit("tsp", instgen.tiny_tsp(rng, n=30)) == 3.0
+    assert default_time_limit("setcover", instgen.tiny_setcover(rng, m=4, n=20)) == 2.0
 
 
 def test_single_cell_experiment(pmed_files, tmp_path):
@@ -195,6 +197,15 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_names_file_line_and_key_of_a_bad_value(tmp_path):
+    path = tmp_path / "bench.cfg"
+    for line, message in (("runs = five", "bad value 'five' for 'runs'"),
+                          ("sa.t0 = hot", "bad value 'hot' for 'sa.t0'")):
+        path.write_text(f"problem = pmedian\ninstance = a.pmed\n{line}\n")
+        with pytest.raises(ValueError, match=f"bench.cfg line 3: {message}"):
+            parse_config(path)
+
+
 def test_unknown_method_fails_before_any_cell_runs(pmed_files, tmp_path):
     paths, _ = pmed_files
     out = tmp_path / "out"
@@ -233,6 +244,14 @@ def test_cli_oracle_emits_bks_line(pmed_files, capsys):
     name, value = line.split()
     assert name == "tiny0.pmed"
     assert float(value) == pytest.approx(read_bks(bks_path)["tiny0.pmed"])
+
+
+def test_cli_rejects_an_unknown_problem_with_a_usage_error(capsys):
+    for command in ("solve", "oracle"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--problem", "knapsack", "--instance", "x.txt"])
+        assert info.value.code == 2
+        assert "invalid choice: 'knapsack'" in capsys.readouterr().err
 
 
 def test_cli_bench_profile_stats_pipeline(pmed_files, tmp_path, capsys):

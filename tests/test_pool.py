@@ -138,16 +138,3 @@ def test_init_pool_degenerate_landscape_still_fills():
 
     pool = init_pool(5, ConstantDecoder(), RngStream(7, 0))
     assert pool.size == 5  # termination wins over the clone rule here
-
-
-def test_pool_dump_format(tmp_path):
-    pool = ElitePool(capacity=3)
-    pool.offer(np.array([0.25, 0.75]), Fitness.of(2.0))
-    pool.offer(np.array([0.1, 0.9]), Fitness.of(1.0))
-    path = tmp_path / "pool.txt"
-    pool.dump(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    first = lines[0].split()
-    assert float(first[0]) == 1.0
-    assert [float(v) for v in first[1:]] == [0.1, 0.9]

@@ -25,7 +25,6 @@ from keyopt.problems import (
     parse_hubtree,
     parse_orlib_pmed,
     parse_partition,
-    parse_setcover,
     plain_routing_cost,
     write_hubtree,
     write_orlib_pmed,
@@ -97,6 +96,7 @@ def test_tsp_roundtrip(tmp_path):
     write_tsp(inst, path)
     again = load_instance("tsp", path)
     assert np.array_equal(again.dist, inst.dist)
+    assert again.n == inst.n
 
 
 def test_tsp_size_guard():
@@ -181,8 +181,9 @@ def test_setcover_roundtrip(tmp_path):
     inst = instgen.tiny_setcover(np.random.default_rng(12), m=5, n=7)
     path = tmp_path / "cover.txt"
     write_setcover(inst, path)
-    again = parse_setcover(path)
+    again = load_instance("setcover", path)
     assert np.array_equal(again.a, inst.a)
+    assert (again.m, again.n, again.coverable) == (inst.m, inst.n, inst.coverable)
 
 
 # ---------------------------------------------------------------- p-median
@@ -260,15 +261,26 @@ def test_parse_pmed_path_graph_shortest_paths(tmp_path):
 
 
 def test_parse_pmed_symmetry_and_diagonal(tmp_path):
+    """Write -> load_instance round trip: the distances equal a plain-loop
+    shortest-path recomputation from the written edges."""
     rng = np.random.default_rng(22)
     for trial in range(5):
         edges = instgen.connected_graph_edges(rng, 8)
         path = tmp_path / f"rand{trial}.pmed"
         write_orlib_pmed(8, edges, 3, path)
-        inst = parse_orlib_pmed(path, alpha=2)
+        inst = load_instance("pmedian", path, alpha=2)
         assert np.array_equal(inst.dist, inst.dist.T)
         assert np.all(np.diag(inst.dist) == 0)
-        assert inst.p == 3 and inst.alpha == 2
+        assert inst.p == 3 and inst.alpha == 2 and inst.connected
+        assert inst.name == path.name
+        d = [[0.0 if i == j else math.inf for j in range(8)] for i in range(8)]
+        for i, j, cost in edges:
+            d[i][j] = d[j][i] = min(d[i][j], float(cost))
+        for k in range(8):
+            for i in range(8):
+                for j in range(8):
+                    d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+        assert inst.dist.tolist() == d
 
 
 def test_parse_pmed_disconnected_flagged(tmp_path):
@@ -340,7 +352,7 @@ def test_partition_parse_fig7_file(tmp_path):
     inst = fig7_partition_instance()
     path = tmp_path / "fig7.txt"
     write_partition(inst, path)
-    again = parse_partition(path)
+    again = load_instance("partition", path)
     assert again.handovers[3][4] == 191.0  # 1-based stations 4 and 5
     assert np.array_equal(again.traffic, inst.traffic)
     assert np.array_equal(again.capacity, inst.capacity)
@@ -453,7 +465,7 @@ def test_hubtree_roundtrip(tmp_path):
     inst = instgen.tiny_hubtree(np.random.default_rng(40), n=5, p=3, discount=0.35)
     path = tmp_path / "hub.txt"
     write_hubtree(inst, path)
-    again = parse_hubtree(path)
+    again = load_instance("hubtree", path)
     assert np.array_equal(again.cost, inst.cost)
     assert np.array_equal(again.demand, inst.demand)
     assert again.hubs == inst.hubs
@@ -483,3 +495,59 @@ def test_brute_force_dispatch(tiny_decoders):
     direct = brute_force_pmedian(inst)
     routed = brute_force("pmedian", inst)
     assert routed == direct
+
+
+# ---------------------------------------------------------------- file rules
+
+# (problem, case, file text, faulty line or None, message fragment); every
+# file is loaded with alpha=2, which only the p-median reads.
+MALFORMED = [
+    ("tsp", "header-arity", "2 junk\n0 1\n1 0\n", 1, "header"),
+    ("tsp", "non-numeric", "2\n0 1\n# note\n\n1 x\n", 5, "bad distance row"),
+    ("tsp", "too-few-rows", "2\n0 1\n", None, "expected 2 distance rows, found 1"),
+    ("tsp", "surplus-row", "2\n0 1\n1 0\n1 0\n", 4, "unexpected line"),
+    ("tsp", "validation", "2\n1 1\n1 0\n", None, "zero diagonal"),
+    ("tsp", "not-text", b"2\n\xff\xfe 0\n", None, "not a text file"),
+    ("setcover", "header-arity", "2 3 4\n1 0 1\n0 1 0\n", 1, "header"),
+    ("setcover", "non-numeric", "2 3\n1 0 1\n# note\n\n0 y 0\n", 5, "bad matrix row"),
+    ("setcover", "too-few-rows", "2 3\n1 0 1\n", None, "expected 2 matrix rows, found 1"),
+    ("setcover", "surplus-row", "2 3\n1 0 1\n0 1 0\n1 1 1\n", 4, "unexpected line"),
+    ("setcover", "validation", "2 3\n1 0 2\n0 1 0\n", None, "binary"),
+    ("pmedian", "header-arity", "3 2\n1 2 1\n2 3 2\n", 1, "header"),
+    ("pmedian", "non-numeric", "3 2 2\n1 2 1\n# note\n\n2 x 2\n", 5, "bad edge row"),
+    ("pmedian", "too-few-rows", "3 2 2\n1 2 1\n", None, "expected 2 edge rows, found 1"),
+    ("pmedian", "surplus-row", "3 2 2\n1 2 1\n2 3 2\n1 3 5\n", 4, "unexpected line"),
+    ("pmedian", "vertex-range", "3 2 2\n1 2 1\n2 4 2\n", 3, "vertex id out of range"),
+    ("pmedian", "validation", "3 2 1\n1 2 1\n2 3 2\n", None, "alpha"),
+    ("partition", "header-arity", "2 1 7\n1 1\n5\n0 1\n1 0\n", 1, "header"),
+    ("partition", "non-numeric", "2 1\n1 1\n5\n0 1\n# note\n\n1 z\n", 7, "bad handover row"),
+    ("partition", "too-few-rows", "2 1\n1 1\n5\n0 1\n", None,
+     "expected 2 handover rows, found 1"),
+    ("partition", "surplus-row", "2 1\n1 1\n5\n0 1\n1 0\n1 0\n", 6, "unexpected line"),
+    ("partition", "validation", "2 1\n1 1\n5\n3 1\n1 0\n", None, "zero diagonal"),
+    ("hubtree", "header-arity", "2 1\n0 1\n1 0\n0 2\n3 0\n", 1, "header"),
+    ("hubtree", "non-numeric", "2 1 0.5\n0 1\n1 0\n# note\n\n0 q\n3 0\n", 6,
+     "bad demand row"),
+    ("hubtree", "too-few-rows", "2 1 0.5\n0 1\n1 0\n0 2\n", None,
+     "expected 2 demand rows, found 1"),
+    ("hubtree", "surplus-row", "2 1 0.5\n0 1\n1 0\n0 2\n3 0\n3 0\n", 6, "unexpected line"),
+    ("hubtree", "validation", "2 1 0.5\n0 1\n2 0\n0 2\n3 0\n", None, "symmetric"),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, text, line, fragment",
+    [case[:1] + case[2:] for case in MALFORMED],
+    ids=[f"{case[0]}-{case[1]}" for case in MALFORMED],
+)
+def test_malformed_files_raise_parse_error_with_line(tmp_path, problem, text, line, fragment):
+    path = tmp_path / f"{problem}.txt"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ParseError) as info:
+        load_instance(problem, path, alpha=2)
+    message = str(info.value)
+    assert str(path) in message
+    assert fragment in message
+    assert info.value.line == line
+    if line is not None:
+        assert message.startswith(f"line {line}: ")

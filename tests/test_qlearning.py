@@ -213,15 +213,3 @@ def test_three_point_values_clipping():
     assert three_point_values(0.9, lo=0.0, hi=1.0) == (0.45, 0.9, 1.0)
     assert three_point_values(0.7, lo=0.51, hi=1.0) == (0.51, 0.7, 1.0)
     assert three_point_values(100, lo=1, integer=True) == (50, 100, 150)
-
-
-def test_qtable_dump(tmp_path):
-    grid = small_grid()
-    controller = QController(grid, RngStream(10, 0))
-    controller.select(0.5)
-    controller.observe(10.0, 5.0, 0.5)
-    path = tmp_path / "qtable.csv"
-    controller.dump(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "state,action,q"
-    assert len(lines) >= 2
