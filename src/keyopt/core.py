@@ -62,9 +62,8 @@ class Fitness:
 class Decoder(ABC):
     """Problem plug-in mapping a key vector to an objective value.
 
-    Implementations must be deterministic (equal vectors give equal Fitness),
-    must never mutate the input vector, and must be safe for concurrent
-    read-only use once constructed.
+    Implementations must be deterministic (equal vectors give equal Fitness)
+    and must never mutate the input vector.
     """
 
     dimension: int
@@ -185,10 +184,13 @@ class TimeBudget:
         return time.monotonic() - self._start
 
     def progress(self, evals: int = 0) -> float:
-        """Fraction of the budget consumed, in [0, 1]."""
-        if self.virtual:
-            return min(1.0, evals / self.max_evals)
-        frac = (time.monotonic() - self._start) / self.seconds
+        """Fraction of the budget consumed, in [0, 1]; with both limits set,
+        the larger of the two fractions."""
+        frac = 0.0
+        if self.max_evals is not None:
+            frac = evals / self.max_evals
+        if self.seconds is not None:
+            frac = max(frac, (time.monotonic() - self._start) / self.seconds)
         return min(1.0, frac)
 
     def expired(self, evals: int = 0) -> bool:

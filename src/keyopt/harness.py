@@ -5,7 +5,7 @@ performance profile, Wilcoxon matrix)."""
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 
 from .metrics import performance_profile, rpd, wilcoxon_one_sided
 from .problems import get_problem, load_instance, make_decoder
@@ -143,6 +143,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute every (instance, method, run) cell and write the report
     files.  Unparseable instances are recorded as failed cells and the run
     continues."""
+    bks = read_bks(config.bks_path) if config.bks_path else None
     os.makedirs(config.output_dir, exist_ok=True)
     params = solver_params(config)
     q_control = config.params_mode == "qlearning"
@@ -177,7 +178,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     write_results(rows, results_path)
     files["results"] = results_path
 
-    bks = read_bks(config.bks_path) if config.bks_path else None
     if bks:
         summary_path = os.path.join(config.output_dir, "summary.csv")
         write_summary(rows, bks, summary_path)
@@ -198,19 +198,29 @@ def write_results(rows, path) -> None:
             fh.write(row.csv() + "\n")
 
 
+def _record(path, lineno: int, text: str, casts: dict, sep: str | None = None) -> list:
+    """One line of a results or best-known file, split and cast field by
+    field; a wrong field count or value raises ValueError naming the file
+    and line."""
+    values = text.split(sep)
+    if len(values) != len(casts):
+        raise ValueError(f"{path} line {lineno}: expected {len(casts)} fields "
+                         f"({', '.join(casts)}), got {len(values)}")
+    return [_cast(cast, value, path, lineno, key)
+            for (key, cast), value in zip(casts.items(), values)]
+
+
 def read_results(path):
+    casts = {f.name: f.type for f in dataclass_fields(ResultRow)}
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != RESULTS_HEADER:
             raise ValueError(f"unexpected results header: {header!r}")
-        for ln in fh:
+        for lineno, ln in enumerate(fh, start=2):
             ln = ln.strip()
-            if not ln:
-                continue
-            inst, method, run, obj, ttb, evals = ln.split(",")
-            rows.append(ResultRow(inst, method, int(run), float(obj),
-                                  float(ttb), int(evals)))
+            if ln:
+                rows.append(ResultRow(*_record(path, lineno, ln, casts, ",")))
     return rows
 
 
@@ -218,12 +228,11 @@ def read_bks(path) -> dict:
     """Best-known-solution file: one "instance value" pair per line."""
     out = {}
     with open(path) as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, start=1):
             ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            name, value = ln.split()
-            out[name] = float(value)
+            if ln and not ln.startswith("#"):
+                name, value = _record(path, lineno, ln, {"instance": str, "value": float})
+                out[name] = value
     return out
 
 

@@ -1,14 +1,13 @@
 """Shared repository of the best distinct solutions found so far.
 
-The pool is the only shared-mutable object in the system: every operation
-runs under a lock, and callers never hold the lock across decode calls.
-Entries are kept sorted by objective, capacity-bounded, and clone-free
-(two entries are clones when their objectives agree within a relative
-tolerance).
+The pool is the only object the portfolio's solvers share.  They take
+turns (see `solvers.portfolio`), so one solver at a time reads or changes
+it, and it needs no lock.  Entries are kept sorted by objective,
+capacity-bounded, and clone-free (two entries are clones when their
+objectives agree within a relative tolerance).
 """
 
 import bisect
-import threading
 
 import numpy as np
 
@@ -39,7 +38,6 @@ class ElitePool:
         self.capacity = capacity
         self.eps_clone = eps_clone
         self._entries: list[tuple[float, np.ndarray, Fitness]] = []
-        self._lock = threading.Lock()
 
     def _is_clone(self, objective: float) -> bool:
         for obj, _, _ in self._entries:
@@ -51,16 +49,15 @@ class ElitePool:
     def offer(self, keys: np.ndarray, fitness: Fitness) -> bool:
         """Insert a solution unless it is a clone or the pool is full of
         better entries; evicts the worst entry when over capacity."""
-        with self._lock:
-            obj = fitness.objective
-            if self._is_clone(obj):
-                return False
-            if len(self._entries) >= self.capacity and obj >= self._entries[-1][0]:
-                return False
-            self._insert(keys, fitness)
-            if len(self._entries) > self.capacity:
-                self._entries.pop()
-            return True
+        obj = fitness.objective
+        if self._is_clone(obj):
+            return False
+        if len(self._entries) >= self.capacity and obj >= self._entries[-1][0]:
+            return False
+        self._insert(keys, fitness)
+        if len(self._entries) > self.capacity:
+            self._entries.pop()
+        return True
 
     def _insert(self, keys: np.ndarray, fitness: Fitness) -> None:
         entry = (fitness.objective, np.array(keys, copy=True), fitness)
@@ -69,38 +66,29 @@ class ElitePool:
     def insert_unchecked(self, keys: np.ndarray, fitness: Fitness) -> None:
         """Insert bypassing the clone rule (initialization fallback only);
         capacity and sortedness still hold."""
-        with self._lock:
-            self._insert(keys, fitness)
-            if len(self._entries) > self.capacity:
-                self._entries.pop()
+        self._insert(keys, fitness)
+        if len(self._entries) > self.capacity:
+            self._entries.pop()
 
     def sample(self, rng: RngStream) -> tuple[np.ndarray, Fitness]:
         """Uniformly random entry, copied out."""
-        with self._lock:
-            if not self._entries:
-                raise EmptyPoolError("cannot sample from an empty pool")
-            _, keys, fit = self._entries[rng.integers(0, len(self._entries))]
-            return keys.copy(), fit
+        if not self._entries:
+            raise EmptyPoolError("cannot sample from an empty pool")
+        _, keys, fit = self._entries[rng.integers(0, len(self._entries))]
+        return keys.copy(), fit
 
     def best(self) -> tuple[np.ndarray, Fitness]:
-        with self._lock:
-            if not self._entries:
-                raise EmptyPoolError("empty pool has no best entry")
-            _, keys, fit = self._entries[0]
-            return keys.copy(), fit
+        if not self._entries:
+            raise EmptyPoolError("empty pool has no best entry")
+        _, keys, fit = self._entries[0]
+        return keys.copy(), fit
 
     @property
     def size(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def objectives(self) -> list[float]:
-        with self._lock:
-            return [obj for obj, _, _ in self._entries]
-
-    def snapshot(self) -> list[tuple[np.ndarray, Fitness]]:
-        with self._lock:
-            return [(keys.copy(), fit) for _, keys, fit in self._entries]
+        return [obj for obj, _, _ in self._entries]
 
 
 def init_pool(

@@ -49,8 +49,12 @@ def assignment_cost(dist, open_facilities, alpha: int) -> float:
     """Total distance from every vertex to its alpha nearest open
     facilities (facility vertices count themselves at distance zero)."""
     cols = sorted(open_facilities)
-    sub = np.sort(np.asarray(dist)[:, cols], axis=1)
-    return float(sub[:, :alpha].sum())
+    sub = np.take(np.asarray(dist), cols, axis=1)
+    sub.sort(axis=1)
+    # `dist[:, cols]` would give a Fortran-ordered block; summing a Fortran
+    # copy of the alpha nearest adds the terms in the same order as that
+    # block did, so costs stay bit-identical while the gather is C-ordered.
+    return float(np.asfortranarray(sub[:, :alpha]).sum())
 
 
 class PMedianDecoder(Decoder):

@@ -1,4 +1,4 @@
-"""The eight metaheuristic drivers and the parallel portfolio."""
+"""The eight metaheuristic drivers and the portfolio that runs them in turns."""
 
 from .base import BestTracker, RunResult, metropolis_accept
 from .params import (

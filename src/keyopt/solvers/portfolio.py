@@ -1,11 +1,15 @@
-"""Parallel portfolio: every enabled solver runs on its own worker with its
-own RNG stream, cooperating through one shared elite pool.
+"""Portfolio: the enabled solvers take turns, one at a time, in a fixed
+member order, cooperating through one shared elite pool.
 
-Worker streams are derived from a single master seed (stream 0 initializes
+Member streams are derived from a single master seed (stream 0 initializes
 the pool, stream i drives the i-th enabled solver), so a single-solver
 portfolio is equivalent to running that solver directly with the same seed.
-Multi-solver runs are admissibly nondeterministic: thread interleaving can
-change which solver finds what first, but every invariant still holds.
+
+A member keeps the turn for TURN_CALLS decoder calls and then hands it to
+the next member still running; a member that finishes or fails leaves the
+rotation while it holds the turn.  Only the turn holder runs, so the
+rotation orders every pool access, and under an evaluation budget alone a
+run of many members is as bit-reproducible as a run of one.
 """
 
 import threading
@@ -18,6 +22,9 @@ from .base import RunResult
 from .params import SOLVER_NAMES, control_grid
 from .population import run_brkga, run_ga, run_pso
 from .trajectory import run_grasp, run_ils, run_lns, run_sa, run_vns
+
+# Decoder calls a member makes per turn.
+TURN_CALLS = 64
 
 SOLVERS = {
     "brkga": run_brkga,
@@ -49,6 +56,45 @@ def _merged_trace(results):
     return merged
 
 
+class _Member(Decoder):
+    """One member's view of the decoder, and its place in the rotation.
+
+    Before every call past the first TURN_CALLS of a turn, the member hands
+    the turn to the next running member and waits at its own gate, so a
+    handoff wakes only the member that gets the turn.  `running` holds the
+    members still in the rotation, in member order; only the turn holder
+    reads or changes it.
+    """
+
+    def __init__(self, decoder: Decoder, running: list):
+        self.dimension = decoder.dimension
+        self._decode = decoder.decode
+        self.running = running
+        self.gate = threading.Semaphore(0)
+        self._calls = 0
+
+    def decode(self, keys):
+        if self._calls == TURN_CALLS:
+            nxt = self._next()
+            if nxt is not self:
+                nxt.gate.release()
+                self.gate.acquire()
+            self._calls = 0
+        self._calls += 1
+        return self._decode(keys)
+
+    def leave(self) -> None:
+        """Leave the rotation, handing the turn on."""
+        nxt = self._next()
+        self.running.remove(self)
+        if nxt is not self:
+            nxt.gate.release()
+
+    def _next(self) -> "_Member":
+        pos = self.running.index(self)
+        return self.running[(pos + 1) % len(self.running)]
+
+
 def run_portfolio(
     decoder: Decoder,
     methods,
@@ -59,11 +105,17 @@ def run_portfolio(
     pool_capacity: int = DEFAULT_CAPACITY,
     q_control: bool = False,
 ) -> PortfolioResult:
-    """Run the enabled solvers concurrently against one shared pool and
-    return the best result plus per-solver traces.
+    """Run the enabled solvers in turns against one shared pool and return
+    the best result plus per-solver traces.
 
     `max_evals`, when given, applies per solver.  With `q_control` each
     solver gets its own parameter controller built from its tuned values.
+
+    Member 0 runs on the calling thread; the others run on daemon threads,
+    so an interrupted run leaves no waiting thread that keeps the process
+    alive.  A lone solver's error propagates as it is.  With several
+    members, a failing member leaves the rotation, the others finish, and
+    the first failure in member order is raised as a RuntimeError.
     """
     methods = list(methods)
     if not methods:
@@ -76,42 +128,48 @@ def run_portfolio(
     init_rng = RngStream(seed, 0)
     pool = init_pool(pool_capacity, decoder, init_rng, budget=budget)
 
+    running: list[_Member] = []
     results: dict[str, RunResult] = {}
-    errors: dict[str, BaseException] = {}
+    errors: dict[str, Exception] = {}
 
-    def make_worker(index, name):
+    def make_member(index, name):
         rng = RngStream(seed, index + 1)
         params = params_by_method[name]
         controller = QController(control_grid(name, params), rng) if q_control else None
+        member = _Member(decoder, running)
+        running.append(member)
 
-        def work():
+        def play():
+            if index:  # every member but the first waits for its first turn
+                member.gate.acquire()
             try:
                 results[name] = SOLVERS[name](
-                    decoder, params, pool, rng, budget, controller=controller,
+                    member, params, pool, rng, budget, controller=controller,
                 )
-            except BaseException as exc:  # noqa: BLE001 - reported to the caller
+            except Exception as exc:  # noqa: BLE001 - reported once all have ended
                 if len(methods) == 1:
-                    raise  # on the caller's thread: propagate as it is
+                    raise
                 errors[name] = exc
+            member.leave()
 
-        return work
+        return play
 
-    if len(methods) == 1:
-        make_worker(0, methods[0])()
-    else:
-        threads = [
-            threading.Thread(target=make_worker(i, name), name=f"solver-{name}")
-            for i, name in enumerate(methods)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    plays = [make_member(i, name) for i, name in enumerate(methods)]
+    threads = [
+        threading.Thread(target=play, name=f"solver-{name}", daemon=True)
+        for name, play in zip(methods[1:], plays[1:])
+    ]
+    for t in threads:
+        t.start()
+    plays[0]()
+    for t in threads:
+        t.join()
 
-    if errors:
-        name, exc = next(iter(errors.items()))
-        raise RuntimeError(f"solver {name} failed") from exc
+    failed = [name for name in methods if name in errors]
+    if failed:
+        raise RuntimeError(f"solver {failed[0]} failed") from errors[failed[0]]
 
+    results = {name: results[name] for name in methods}
     ranked = sorted(
         results.values(), key=lambda r: (r.best_fitness.objective, r.time_to_best)
     )

@@ -164,6 +164,14 @@ def test_time_budget_eval_mode_is_virtual():
     assert budget.progress(50) == 0.5
 
 
+def test_time_budget_progress_with_both_limits_counts_evaluations():
+    budget = TimeBudget(seconds=3600, max_evals=100)
+    assert budget.progress(50) == 0.5
+    assert budget.expired(100)
+    assert budget.progress(100) == 1.0
+    assert budget.progress(0) < 0.01  # the clock side, an hour from its end
+
+
 def test_time_budget_rejects_bad_limits():
     with pytest.raises(ValueError):
         TimeBudget()

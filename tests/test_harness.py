@@ -364,3 +364,35 @@ def test_single_solver_cell_raises_the_solvers_own_error(pmed_files, monkeypatch
     monkeypatch.setitem(SOLVERS, "sa", broken)
     with pytest.raises(ZeroDivisionError, match="solver bug"):
         run_cell("pmedian", decoder, "sa", defaults_for("pmedian"), 1, None, 50, 5, False)
+
+
+def test_read_results_names_file_and_line_of_a_malformed_row(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("instance,method,run,objective,time_to_best,evaluations\n"
+                    "a.txt,sa,0,10.0,3.0,50\n"
+                    "a.txt,sa,1,12.0,4.0\n")
+    with pytest.raises(ValueError, match=r"results.csv line 3: expected 6 fields"):
+        read_results(path)
+    path.write_text("instance,method,run,objective,time_to_best,evaluations\n"
+                    "a.txt,sa,0,ten,3.0,50\n")
+    with pytest.raises(ValueError, match=r"results.csv line 2: bad value 'ten' for 'objective'"):
+        read_results(path)
+
+
+def test_read_bks_names_file_and_line_of_a_malformed_line(pmed_files, tmp_path):
+    bks_path = tmp_path / "bks.txt"
+    bks_path.write_text("# best known\na.txt 10.0\nb.txt\n")
+    with pytest.raises(ValueError, match=r"bks.txt line 3: expected 2 fields"):
+        read_bks(bks_path)
+    bks_path.write_text("a.txt ten\n")
+    with pytest.raises(ValueError, match=r"bks.txt line 1: bad value 'ten' for 'value'"):
+        read_bks(bks_path)
+    # An experiment reads its best-known file before it runs any cell.
+    out = tmp_path / "out"
+    config = ExperimentConfig(
+        problem="pmedian", instances=pmed_files[0][:1], methods=["sa"], runs=1,
+        max_evals=50, output_dir=str(out), pool_capacity=5, bks_path=str(bks_path),
+    )
+    with pytest.raises(ValueError, match="bks.txt line 1"):
+        run_experiment(config)
+    assert not out.exists()

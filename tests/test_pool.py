@@ -124,7 +124,7 @@ def test_init_pool_deterministic_replay():
     a = init_pool(10, decoder, RngStream(6, 0))
     b = init_pool(10, decoder, RngStream(6, 0))
     assert a.objectives() == b.objectives()
-    for (ka, fa), (kb, fb) in zip(a.snapshot(), b.snapshot()):
+    for (_, ka, fa), (_, kb, fb) in zip(a._entries, b._entries):
         assert np.array_equal(ka, kb)
         assert fa == fb
 

@@ -1,12 +1,17 @@
+import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import instgen
-from keyopt.core import RngStream, TimeBudget, random_vector
+from keyopt.core import Decoder, RngStream, TimeBudget, evaluate, random_vector
 from keyopt.pool import init_pool
 from keyopt.problems import PMedianDecoder, brute_force_pmedian
+from keyopt.qlearning import QController
 from keyopt.solvers import (
     SOLVER_NAMES,
     SOLVERS,
@@ -15,12 +20,12 @@ from keyopt.solvers import (
     defaults_for,
     lns_repair,
     metropolis_accept,
+    portfolio,
     pso_move,
     run_portfolio,
     run_sa,
     with_overrides,
 )
-from keyopt.qlearning import QController
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +252,112 @@ def test_portfolio_rejects_unknown_solver(oracle_case):
     with pytest.raises(ValueError):
         run_portfolio(decoder, ["nope"], defaults_for("pmedian"), seed=1,
                       max_evals=10)
+
+
+def bounded(call, timeout=60.0):
+    """Run `call` on a daemon thread, so that a deadlock fails the test
+    instead of hanging the suite; return its result or raise its error."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = call()
+        except Exception as exc:  # noqa: BLE001 - raised again below
+            out["error"] = exc
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), "the portfolio did not end"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def test_portfolio_under_an_evaluation_budget_is_bit_reproducible(oracle_case):
+    decoder, _ = oracle_case
+    a, b = (bounded(lambda: run_portfolio(
+        decoder, list(SOLVER_NAMES), defaults_for("pmedian"), seed=47,
+        max_evals=600, pool_capacity=10, q_control=True)) for _ in range(2))
+    assert list(a.per_solver) == list(b.per_solver) == list(SOLVER_NAMES)
+    for name in SOLVER_NAMES:
+        ra, rb = a.per_solver[name], b.per_solver[name]
+        assert ra.best_keys.tobytes() == rb.best_keys.tobytes(), name
+        assert (ra.best_fitness, ra.time_to_best, ra.evaluations, ra.trace) == \
+            (rb.best_fitness, rb.time_to_best, rb.evaluations, rb.trace), name
+    assert [(k.tobytes(), f) for _, k, f in a.pool._entries] == \
+        [(k.tobytes(), f) for _, k, f in b.pool._entries]
+
+
+class OneAtATime(Decoder):
+    """Counts decodes in flight, yielding the interpreter mid-decode, and
+    records the calling thread of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.in_flight = 0
+        self.most_in_flight = 0
+        self.callers = []
+
+    def decode(self, keys):
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        time.sleep(0)
+        self.callers.append(threading.get_ident())
+        out = self.inner.decode(keys)
+        self.in_flight -= 1
+        return out
+
+
+def test_portfolio_members_decode_one_at_a_time_in_turns(oracle_case, monkeypatch):
+    decoder = OneAtATime(oracle_case[0])
+    real_init = portfolio.init_pool
+
+    def init_then_record(*args, **kwargs):
+        pool = real_init(*args, **kwargs)
+        decoder.callers.clear()  # pool initialisation is nobody's turn
+        return pool
+
+    monkeypatch.setattr(portfolio, "init_pool", init_then_record)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        bounded(lambda: run_portfolio(decoder, list(SOLVER_NAMES), defaults_for("pmedian"),
+                                      seed=53, max_evals=300, pool_capacity=10))
+    finally:
+        sys.setswitchinterval(switch)
+    assert decoder.most_in_flight == 1
+    turns = [(caller, len(list(calls))) for caller, calls in itertools.groupby(decoder.callers)]
+    assert len({caller for caller, _ in turns[:len(SOLVER_NAMES)]}) == len(SOLVER_NAMES)
+    for member in {caller for caller, _ in turns}:
+        lengths = [n for caller, n in turns if caller == member]
+        assert lengths[:-1] == [portfolio.TURN_CALLS] * (len(lengths) - 1)
+
+
+@pytest.mark.parametrize("failing", ["brkga", "lns"])  # the calling thread's member, the last
+def test_portfolio_member_failure_names_it_after_the_others_finish(
+        oracle_case, monkeypatch, failing):
+    decoder, _ = oracle_case
+    finished = []
+
+    def recorded(name, solve):
+        def run(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            finished.append(name)
+            return result
+        return run
+
+    def broken(decoder, params, pool, rng, budget, controller=None):
+        for _ in range(2 * portfolio.TURN_CALLS):
+            evaluate(decoder, random_vector(decoder.dimension, rng))
+        raise ZeroDivisionError("solver bug")
+
+    for name in SOLVER_NAMES:
+        monkeypatch.setitem(SOLVERS, name, recorded(name, SOLVERS[name]))
+    monkeypatch.setitem(SOLVERS, failing, broken)
+    with pytest.raises(RuntimeError, match=f"^solver {failing} failed$") as raised:
+        bounded(lambda: run_portfolio(decoder, list(SOLVER_NAMES), defaults_for("pmedian"),
+                                      seed=59, max_evals=300, pool_capacity=10))
+    assert isinstance(raised.value.__cause__, ZeroDivisionError)
+    assert sorted(finished) == sorted(set(SOLVER_NAMES) - {failing})
