@@ -5,8 +5,9 @@ Three small instance files live in `tests/golden/`.  For each of them this
 module produces:
 
 - `solve/<problem>-<method>-<params>.csv` and `...-trace.csv`: the result
-  and trace CSVs of `keyopt solve --max-evals 600` for every solver, under
-  both parameter sources (`table`, `qlearning`);
+  and trace CSVs of `keyopt solve --max-evals 600` for every solver and
+  for the portfolio of all eight, under both parameter sources (`table`,
+  `qlearning`);
 - `bench/<problem>-<params>.csv`: the `results.csv` of an experiment over
   all eight solvers with small BRKGA/GA/PSO populations, so that their
   generation loops and the parameter controller run within the budget;
@@ -46,6 +47,7 @@ SEED = 1
 BENCH_RUNS = 2
 BENCH_OVERRIDES = {"brkga": {"p": 20.0}, "ga": {"p": 20.0}, "pso": {"p": 10.0}}
 PARAM_SOURCES = ("table", "qlearning")
+SOLVE_METHODS = (*SOLVER_NAMES, "portfolio")
 
 # problem -> (file name, alpha)
 INSTANCES = {
@@ -75,7 +77,7 @@ def output_names() -> list:
     names = ["grids.txt"]
     for problem in INSTANCES:
         for source in PARAM_SOURCES:
-            for method in SOLVER_NAMES:
+            for method in SOLVE_METHODS:
                 stem = f"solve/{problem}-{method}-{source}"
                 names += [f"{stem}.csv", f"{stem}-trace.csv"]
             names.append(f"bench/{problem}-{source}.csv")
@@ -125,7 +127,7 @@ def write_outputs(directory) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         for problem in INSTANCES:
             for source in PARAM_SOURCES:
-                for method in SOLVER_NAMES:
+                for method in SOLVE_METHODS:
                     write_solve(problem, method, source,
                                 os.path.join(directory, f"solve/{problem}-{method}-{source}"))
                 write_bench(problem, source,
