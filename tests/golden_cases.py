@@ -14,6 +14,11 @@ module produces:
 
 plus `grids.txt`, the Q-learning grid of every tuned parameter record.
 
+A fourth instance, `pmedian-n160-p72.txt`, is large enough for the p-median
+decoder's nearest-neighbour list (`problems.pmedian.NEAR_WIDTH`); it gets
+`solve/pmedian-n160-<method>-table.csv` and `...-trace.csv` for one solver and
+for the portfolio.
+
 `tests/test_golden.py` compares a fresh set with the committed one.  After a
 change that is meant to alter behaviour, rewrite the files with
 
@@ -56,6 +61,11 @@ INSTANCES = {
     "hubtree": ("hubtree-n8-p3.txt", 1),
 }
 
+# The p-median instance that takes the decoder's nearest-neighbour list:
+# (file name, alpha), and the methods solved on it with table parameters.
+NEAR_LIST_INSTANCE = ("pmedian-n160-p72.txt", 3)
+NEAR_LIST_METHODS = ("brkga", "portfolio")
+
 
 def write_instances(directory=GOLDEN_DIR) -> None:
     """The three instance files, from fixed generator seeds."""
@@ -66,6 +76,10 @@ def write_instances(directory=GOLDEN_DIR) -> None:
                     os.path.join(directory, INSTANCES["partition"][0]))
     write_hubtree(instgen.tiny_hubtree(rng, n=8, p=3),
                   os.path.join(directory, INSTANCES["hubtree"][0]))
+    # A generator of its own, so that the three files above did not change.
+    rng = np.random.default_rng(20261018)
+    write_orlib_pmed(160, instgen.connected_graph_edges(rng, 160, extra=0.05), 72,
+                     os.path.join(directory, NEAR_LIST_INSTANCE[0]))
 
 
 def instance_path(problem: str) -> str:
@@ -81,7 +95,14 @@ def output_names() -> list:
                 stem = f"solve/{problem}-{method}-{source}"
                 names += [f"{stem}.csv", f"{stem}-trace.csv"]
             names.append(f"bench/{problem}-{source}.csv")
+    for method in NEAR_LIST_METHODS:
+        stem = f"solve/{near_list_stem(method)}"
+        names += [f"{stem}.csv", f"{stem}-trace.csv"]
     return names
+
+
+def near_list_stem(method: str) -> str:
+    return f"pmedian-n160-{method}-table"
 
 
 def write_grids(path) -> None:
@@ -92,11 +113,13 @@ def write_grids(path) -> None:
                 fh.write(f"{table} {solver} {grid.names!r} {grid.values!r} {grid.initial!r}\n")
 
 
-def write_solve(problem: str, method: str, source: str, stem: str) -> None:
-    _, alpha = INSTANCES[problem]
+def write_solve(problem: str, method: str, source: str, stem: str,
+                path=None, alpha=None) -> None:
+    if path is None:
+        path, alpha = instance_path(problem), INSTANCES[problem][1]
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([
-            "solve", "--problem", problem, "--instance", instance_path(problem),
+            "solve", "--problem", problem, "--instance", path,
             "--alpha", str(alpha), "--method", method, "--max-evals", str(MAX_EVALS),
             "--seed", str(SEED), "--params", source,
             "--out", f"{stem}.csv", "--trace", f"{stem}-trace.csv",
@@ -132,10 +155,15 @@ def write_outputs(directory) -> None:
                                 os.path.join(directory, f"solve/{problem}-{method}-{source}"))
                 write_bench(problem, source,
                             os.path.join(directory, f"bench/{problem}-{source}.csv"), scratch)
+    name, alpha = NEAR_LIST_INSTANCE
+    for method in NEAR_LIST_METHODS:
+        write_solve("pmedian", method, "table",
+                    os.path.join(directory, f"solve/{near_list_stem(method)}"),
+                    path=os.path.join(GOLDEN_DIR, name), alpha=alpha)
 
 
 if __name__ == "__main__":
-    if not os.path.isfile(instance_path("pmedian")):
+    if not os.path.isfile(os.path.join(GOLDEN_DIR, NEAR_LIST_INSTANCE[0])):
         write_instances()
     write_outputs(GOLDEN_DIR)
     print(f"wrote {len(output_names())} files under {GOLDEN_DIR}")
