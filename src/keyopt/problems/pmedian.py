@@ -20,6 +20,13 @@ ENUMERATION_LIMIT = 10**8
 # Distance assigned to vertex pairs a disconnected graph cannot join.
 UNREACHABLE = 1e9
 
+# Nearest vertices listed per vertex for decoding large instances.
+NEAR_WIDTH = 64
+
+# Floyd-Warshall passes per block, and rows per strip that runs a block.
+FW_BLOCK = 16
+FW_STRIP = 32
+
 
 @dataclasses.dataclass(frozen=True)
 class PMedianInstance:
@@ -48,40 +55,122 @@ class PMedianInstance:
 def assignment_cost(dist, open_facilities, alpha: int) -> float:
     """Total distance from every vertex to its alpha nearest open
     facilities (facility vertices count themselves at distance zero)."""
-    cols = sorted(open_facilities)
-    sub = np.take(np.asarray(dist), cols, axis=1)
-    sub.sort(axis=1)
     # `dist[:, cols]` would give a Fortran-ordered block; summing a Fortran
     # copy of the alpha nearest adds the terms in the same order as that
     # block did, so costs stay bit-identical while the gather is C-ordered.
-    return float(np.asfortranarray(sub[:, :alpha]).sum())
+    return float(np.asfortranarray(_sorted_open(dist, open_facilities)[:, :alpha]).sum())
+
+
+def _sorted_open(dist_rows, open_facilities) -> np.ndarray:
+    """Each row's distances to the open facilities, in ascending order."""
+    sub = np.take(np.asarray(dist_rows), sorted(open_facilities), axis=1)
+    sub.sort(axis=1)
+    return sub
+
+
+def near_lists(dist, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's `width` nearest vertices in ascending distance, and
+    those distances: two (n, width) arrays."""
+    near = np.argpartition(dist, width - 1, axis=1)[:, :width]
+    near_dist = np.take_along_axis(dist, near, axis=1)
+    order = np.argsort(near_dist, axis=1)
+    return np.take_along_axis(near, order, axis=1), np.take_along_axis(near_dist, order, axis=1)
 
 
 class PMedianDecoder(Decoder):
+    """Opens the facilities the keys pick and costs them.
+
+    When p is large, a vertex's alpha nearest open facilities are read off
+    its `NEAR_WIDTH` nearest vertices instead of sorting all p open columns;
+    the list is used when it is shorter than p and expected to hold at least
+    2·alpha open facilities.  Both ways give the same cost, bit for bit.
+    """
+
     def __init__(self, instance: PMedianInstance):
         self.instance = instance
         self.dimension = instance.p
+        n, p, alpha = instance.n, instance.p, instance.alpha
+        self._near = None
+        if NEAR_WIDTH < p and NEAR_WIDTH * p >= 2 * alpha * n:
+            self._near = near_lists(instance.dist, NEAR_WIDTH)
 
     def decode(self, keys: np.ndarray) -> tuple[Fitness, tuple]:
         inst = self.instance
         candidates = list(range(inst.n))
         opened = []
-        for key in keys:
-            k = int(math.floor(key * len(candidates)))
-            opened.append(candidates.pop(k))
-        cost = assignment_cost(inst.dist, opened, inst.alpha)
+        for key in keys.tolist():
+            opened.append(candidates.pop(math.floor(key * len(candidates))))
+        if self._near is None:
+            cost = assignment_cost(inst.dist, opened, inst.alpha)
+        else:
+            cost = self._near_cost(opened)
         return Fitness.of(cost), tuple(opened)
+
+    def _near_cost(self, opened) -> float:
+        """`assignment_cost` read off the nearest-vertex lists; a vertex
+        whose list holds fewer than alpha open facilities sorts all of them."""
+        inst = self.instance
+        near, near_dist = self._near
+        is_open = np.zeros(inst.n, dtype=bool)
+        is_open[opened] = True
+        hit = is_open[near]
+        rows = np.arange(inst.n)
+        # Row j holds every vertex's j-th nearest open facility distance.
+        # This C-ordered (alpha, n) array has the memory order of the
+        # Fortran (n, alpha) block `assignment_cost` sums, so the sums agree.
+        nearest = np.empty((inst.alpha, inst.n))
+        for j in range(inst.alpha):
+            if j:
+                hit[rows, first] = False
+            first = hit.argmax(axis=1)
+            nearest[j] = near_dist[rows, first]
+        # A list that ran out of open facilities points at a closed one.
+        short = np.flatnonzero(~hit[rows, first])
+        if short.size:
+            nearest[:, short] = _sorted_open(inst.dist[short], opened)[:, :inst.alpha].T
+        return float(nearest.sum())
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
     """All-pairs shortest paths; `weights` holds edge lengths with inf for
-    missing edges."""
+    missing edges.
+
+    Equal, entry for entry, to n plain passes
+    `d = minimum(d, d[:, k, None] + d[None, k, :])` for k = 0 .. n-1: the
+    passes run in blocks of `FW_BLOCK`, first on the block's own rows, which
+    copy row k right before pass k (the row pass k reads in the plain loop),
+    and then on every other strip of `FW_STRIP` rows against those copies.
+    Each entry sees the same `min(d, a + b)` steps with the same operands
+    (cf. Venkataraman, Sahni & Mukhopadhyaya, J. Exp. Algorithmics 2003).
+    """
     d = np.array(weights, dtype=float)
     np.fill_diagonal(d, 0.0)
     n = d.shape[0]
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    buf = np.empty((max(FW_BLOCK, FW_STRIP), n))
+
+    def relax(rows, k0, pivot_rows):
+        tmp = buf[:len(rows)]
+        for k, pivot in enumerate(pivot_rows, start=k0):
+            # Filling with column k and then adding is faster in NumPy than
+            # one broadcast add, and gives the same sums.
+            np.copyto(tmp, rows[:, k, None])
+            np.add(tmp, pivot, out=tmp)
+            np.minimum(rows, tmp, out=rows)
+
+    for k0 in range(0, n, FW_BLOCK):
+        k1 = min(k0 + FW_BLOCK, n)
+        block = d[k0:k1]
+        pivots = np.empty((k1 - k0, n))
+        for k in range(k0, k1):
+            pivots[k - k0] = d[k]
+            relax(block, k, pivots[k - k0:k - k0 + 1])
+        for s0, s1 in _strips(0, k0) + _strips(k1, n):
+            relax(d[s0:s1], k0, pivots)
     return d
+
+
+def _strips(start: int, stop: int) -> list:
+    return [(s, min(s + FW_STRIP, stop)) for s in range(start, stop, FW_STRIP)]
 
 
 def parse_orlib_pmed(path, alpha: int = 1) -> PMedianInstance:

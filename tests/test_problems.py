@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import instgen
+from keyopt.problems import pmedian
 from keyopt.core import ParseError, RngStream, SizeGuardError, random_vector
 from keyopt.problems import (
     HubTreeDecoder,
@@ -11,6 +12,7 @@ from keyopt.problems import (
     PartitionDecoder,
     PartitionInstance,
     PMedianDecoder,
+    PMedianInstance,
     SetCoverDecoder,
     SetCoverInstance,
     TspDecoder,
@@ -300,6 +302,82 @@ def test_parse_pmed_errors_carry_line_numbers(tmp_path):
     bad_edge.write_text("3 2 1\n1 2 1\n1 x 1\n")
     with pytest.raises(ParseError, match="line 3"):
         parse_orlib_pmed(bad_edge)
+
+
+def _random_weights(rng, n, density, symmetric=True, integer=False):
+    w = rng.random((n, n)) * 20.0
+    if integer:
+        w = np.floor(w) + 1.0
+    w[rng.random((n, n)) >= density] = math.inf
+    return np.minimum(w, w.T) if symmetric else w
+
+
+def _list_path_decodes(inst, count=500, seed=0):
+    """Decode random, tied and constant key vectors on the list path; yield
+    (decoded cost, opened) pairs."""
+    decoder = PMedianDecoder(inst)
+    assert decoder._near is not None
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        keys = rng.random(inst.p)
+        if i % 5 == 1:
+            keys = np.floor(keys * 4) / 4
+        elif i % 5 == 2:
+            keys = np.full(inst.p, keys[0])
+        fit, opened = decoder.decode(keys)
+        yield fit.objective, opened
+
+
+@pytest.mark.parametrize("kind", ["integer", "real", "disconnected"])
+def test_pmedian_list_path_cost_equals_assignment_cost(kind):
+    rng = np.random.default_rng(31)
+    n, p, alpha = 300, 80, 3
+    if kind == "real":
+        dist = instgen.metric_distances(rng, n)
+    else:
+        dist = pmedian.floyd_warshall(_random_weights(rng, n, 0.02, integer=True))
+        if kind == "disconnected":
+            # Components of 200, 90 and 10 vertices.
+            for a, b in ((0, 200), (200, 290), (290, 300)):
+                dist[a:b, :a] = dist[a:b, b:] = pmedian.UNREACHABLE
+            np.fill_diagonal(dist, 0.0)
+    assert np.isfinite(dist).all()
+    inst = PMedianInstance(dist=dist, p=p, alpha=alpha)
+    for cost, opened in _list_path_decodes(inst):
+        assert cost == assignment_cost(dist, opened, alpha)
+
+
+def test_pmedian_list_path_falls_back_for_short_lists(monkeypatch):
+    monkeypatch.setattr(pmedian, "NEAR_WIDTH", 8)
+    rng = np.random.default_rng(32)
+    inst = PMedianInstance(dist=instgen.metric_distances(rng, 100), p=50, alpha=2)
+    near, _ = pmedian.near_lists(inst.dist, 8)
+    short_rows = 0
+    for cost, opened in _list_path_decodes(inst, seed=1):
+        assert cost == assignment_cost(inst.dist, opened, inst.alpha)
+        short_rows += int((np.isin(near, opened).sum(axis=1) < inst.alpha).sum())
+    assert short_rows > 100
+
+
+def test_pmedian_gather_path_below_the_list_threshold():
+    rng = np.random.default_rng(33)
+    for n, p, alpha in ((200, 10, 2), (100, 64, 1), (300, 80, 9)):
+        inst = PMedianInstance(dist=instgen.metric_distances(rng, n), p=p, alpha=alpha)
+        assert PMedianDecoder(inst)._near is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 33, 70])
+def test_floyd_warshall_equals_plain_passes(n):
+    """The blocked passes give exactly the plain loop's distances."""
+    rng = np.random.default_rng(34 + n)
+    for weights in (_random_weights(rng, n, 0.3),
+                    _random_weights(rng, n, 0.3, symmetric=False),
+                    _random_weights(rng, n, 0.05, integer=True)):
+        d = weights.copy()
+        np.fill_diagonal(d, 0.0)
+        for k in range(n):
+            d = np.minimum(d, d[:, k, None] + d[None, k, :])
+        assert np.array_equal(pmedian.floyd_warshall(weights), d)
 
 
 # ---------------------------------------------------------------- partition
