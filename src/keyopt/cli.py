@@ -26,6 +26,19 @@ from .problems import PROBLEMS, brute_force, load_instance, make_decoder
 from .solvers import SOLVER_NAMES, defaults_for
 
 
+class _InputError(Exception):
+    """An input file that cannot be read; `main` reports it in one line."""
+
+
+def _read(reader, *args, **kwargs):
+    """Call an input reader, turning its `ValueError` or `OSError` into an
+    `_InputError`."""
+    try:
+        return reader(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise _InputError(str(exc)) from exc
+
+
 def _add_instance_args(parser):
     parser.add_argument("--problem", required=True, choices=list(PROBLEMS))
     parser.add_argument("--instance", required=True, help="instance file path")
@@ -34,7 +47,7 @@ def _add_instance_args(parser):
 
 
 def _cmd_solve(args) -> int:
-    instance = load_instance(args.problem, args.instance, alpha=args.alpha)
+    instance = _read(load_instance, args.problem, args.instance, alpha=args.alpha)
     decoder = make_decoder(args.problem, instance)
     results = run_method(
         decoder, args.method, defaults_for(args.problem), args.seed,
@@ -68,7 +81,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = parse_config(args.config)
+    config = _read(parse_config, args.config)
     report = run_experiment(config)
     for name, path in sorted(report.files.items()):
         print(f"{name}: {path}")
@@ -80,8 +93,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    rows = read_results(args.results)
-    bks = read_bks(args.bks)
+    rows = _read(read_results, args.results)
+    bks = _read(read_bks, args.bks)
     if not profile_csv_from_rows(rows, bks, args.tolerance, args.out):
         print("need at least two methods with best-known values", file=sys.stderr)
         return 1
@@ -90,8 +103,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    rows = read_results(args.results)
-    bks = read_bks(args.bks) if args.bks else None
+    rows = _read(read_results, args.results)
+    bks = _read(read_bks, args.bks) if args.bks else None
     if not wilcoxon_csv_from_rows(rows, bks, args.out):
         print("need at least two methods and five instances", file=sys.stderr)
         return 1
@@ -100,7 +113,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance = load_instance(args.problem, args.instance, alpha=args.alpha)
+    instance = _read(load_instance, args.problem, args.instance, alpha=args.alpha)
     optimum, certificate = brute_force(args.problem, instance)
     print(f"{os.path.basename(args.instance)} {optimum!r}")
     if args.show_certificate:
@@ -156,7 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as exc:
+        print(f"keyopt: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

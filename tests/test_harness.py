@@ -206,14 +206,16 @@ def test_parse_config_names_file_line_and_key_of_a_bad_value(tmp_path):
             parse_config(path)
 
 
-def test_unknown_method_fails_before_any_cell_runs(pmed_files, tmp_path):
+def test_unknown_method_fails_before_any_cell_runs(pmed_files, tmp_path, capsys):
     paths, _ = pmed_files
     out = tmp_path / "out"
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(f"problem = pmedian\ninstance = {paths[0]}\nmethods = sa ilss\n"
                    f"runs = 1\nmax_evals = 50\noutput_dir = {out}\n")
     with pytest.raises(ValueError, match=r"unknown method: ilss \(choose from portfolio, "):
-        main(["bench", "--config", str(cfg)])
+        parse_config(cfg)
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert "keyopt: error: unknown method: ilss (choose from portfolio, " in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(ValueError, match="ilss"):
         ExperimentConfig(problem="pmedian", instances=[], methods=["ilss"])
@@ -252,6 +254,63 @@ def test_cli_rejects_an_unknown_problem_with_a_usage_error(capsys):
             main([command, "--problem", "knapsack", "--instance", "x.txt"])
         assert info.value.code == 2
         assert "invalid choice: 'knapsack'" in capsys.readouterr().err
+
+
+def _one_line_error(code, capsys, fragment):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("keyopt: error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
+def test_cli_reports_an_unreadable_instance_in_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.pmed"
+    bad.write_text("3 2 1\n1 2 1\n1 x 1\n")
+    missing = tmp_path / "missing.pmed"
+    for command in ("solve", "oracle"):
+        code = main([command, "--problem", "pmedian", "--instance", str(bad)])
+        _one_line_error(code, capsys, "bad.pmed: bad edge row")
+        code = main([command, "--problem", "pmedian", "--instance", str(missing)])
+        _one_line_error(code, capsys, "No such file or directory")
+
+
+def test_cli_reports_an_unreadable_config_bks_or_results_file_in_one_line(
+        pmed_files, tmp_path, capsys):
+    paths, bks_path = pmed_files
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"problem = pmedian\ninstance = {paths[0]}\nruns = five\n")
+    _one_line_error(main(["bench", "--config", str(cfg)]), capsys,
+                    "bench.cfg line 3: bad value 'five' for 'runs'")
+    _one_line_error(main(["bench", "--config", str(tmp_path / "none.cfg")]), capsys,
+                    "none.cfg")
+    results = tmp_path / "r.csv"
+    results.write_text("instance,method,run,objective,time_to_best,evaluations\n"
+                       "a.txt,sa,0,10.0,3.0\n")
+    bad_bks = tmp_path / "bks.txt"
+    bad_bks.write_text("a.txt ten\n")
+    for command in ("profile", "stats"):
+        out = str(tmp_path / "out.csv")
+        code = main([command, "--results", str(results), "--bks", bks_path, "--out", out])
+        _one_line_error(code, capsys, "r.csv line 2: expected 6 fields")
+        code = main([command, "--results", str(tmp_path / "none.csv"), "--bks", bks_path,
+                     "--out", out])
+        _one_line_error(code, capsys, "none.csv")
+    results.write_text("instance,method,run,objective,time_to_best,evaluations\n"
+                       "a.txt,sa,0,10.0,3.0,50\n")
+    code = main(["profile", "--results", str(results), "--bks", str(bad_bks),
+                 "--out", str(tmp_path / "out.csv")])
+    _one_line_error(code, capsys, "bks.txt line 1: bad value 'ten' for 'value'")
+
+
+def test_cli_keeps_the_traceback_of_an_error_past_the_input_files(
+        pmed_files, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise ValueError("solver fault")
+
+    monkeypatch.setattr("keyopt.cli.run_method", failing_run)
+    with pytest.raises(ValueError, match="solver fault"):
+        main(["solve", "--problem", "pmedian", "--instance", pmed_files[0][0],
+              "--method", "sa", "--max-evals", "10"])
 
 
 def test_cli_bench_profile_stats_pipeline(pmed_files, tmp_path, capsys):
