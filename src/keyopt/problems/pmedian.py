@@ -23,9 +23,10 @@ UNREACHABLE = 1e9
 # Nearest vertices listed per vertex for decoding large instances.
 NEAR_WIDTH = 64
 
-# Floyd-Warshall passes per block, and rows per strip that runs a block.
+# Floyd-Warshall passes per block, and the matrix entries in each strip of
+# rows that runs a block (512 KB, which stays in a core's cache).
 FW_BLOCK = 16
-FW_STRIP = 32
+FW_STRIP_CELLS = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,23 +140,24 @@ def floyd_warshall(weights: np.ndarray) -> np.ndarray:
     `d = minimum(d, d[:, k, None] + d[None, k, :])` for k = 0 .. n-1: the
     passes run in blocks of `FW_BLOCK`, first on the block's own rows, which
     copy row k right before pass k (the row pass k reads in the plain loop),
-    and then on every other strip of `FW_STRIP` rows against those copies.
-    Each entry sees the same `min(d, a + b)` steps with the same operands
-    (cf. Venkataraman, Sahni & Mukhopadhyaya, J. Exp. Algorithmics 2003).
+    and then on every other strip of rows (`FW_STRIP_CELLS` entries) against
+    those copies.  Each entry sees the same `min(d, a + b)` steps with the
+    same operands (cf. Venkataraman, Sahni & Mukhopadhyaya, J. Exp.
+    Algorithmics 2003).
     """
     d = np.array(weights, dtype=float)
     np.fill_diagonal(d, 0.0)
     n = d.shape[0]
-    buf = np.empty((max(FW_BLOCK, FW_STRIP), n))
+    strip_rows = max(1, min(n, FW_STRIP_CELLS // max(n, 1)))
+    buf = np.empty((max(FW_BLOCK, strip_rows), n))
 
-    def relax(rows, k0, pivot_rows):
+    def relax(rows, k, pivot):
         tmp = buf[:len(rows)]
-        for k, pivot in enumerate(pivot_rows, start=k0):
-            # Filling with column k and then adding is faster in NumPy than
-            # one broadcast add, and gives the same sums.
-            np.copyto(tmp, rows[:, k, None])
-            np.add(tmp, pivot, out=tmp)
-            np.minimum(rows, tmp, out=rows)
+        # Filling with column k and then adding is faster in NumPy than one
+        # broadcast add, and gives the same sums.
+        np.copyto(tmp, rows[:, k, None])
+        np.add(tmp, pivot, out=tmp)
+        np.minimum(rows, tmp, out=rows)
 
     for k0 in range(0, n, FW_BLOCK):
         k1 = min(k0 + FW_BLOCK, n)
@@ -163,14 +165,16 @@ def floyd_warshall(weights: np.ndarray) -> np.ndarray:
         pivots = np.empty((k1 - k0, n))
         for k in range(k0, k1):
             pivots[k - k0] = d[k]
-            relax(block, k, pivots[k - k0:k - k0 + 1])
-        for s0, s1 in _strips(0, k0) + _strips(k1, n):
-            relax(d[s0:s1], k0, pivots)
+            relax(block, k, pivots[k - k0])
+        for s0, s1 in _strips(0, k0, strip_rows) + _strips(k1, n, strip_rows):
+            strip = d[s0:s1]
+            for k in range(k0, k1):
+                relax(strip, k, pivots[k - k0])
     return d
 
 
-def _strips(start: int, stop: int) -> list:
-    return [(s, min(s + FW_STRIP, stop)) for s in range(start, stop, FW_STRIP)]
+def _strips(start: int, stop: int, size: int) -> list:
+    return [(s, min(s + size, stop)) for s in range(start, stop, size)]
 
 
 def parse_orlib_pmed(path, alpha: int = 1) -> PMedianInstance:

@@ -366,9 +366,13 @@ def test_pmedian_gather_path_below_the_list_threshold():
         assert PMedianDecoder(inst)._near is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 17, 33, 70])
-def test_floyd_warshall_equals_plain_passes(n):
-    """The blocked passes give exactly the plain loop's distances."""
+@pytest.mark.parametrize("strip_rows", [5, None])
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 33, 70])
+def test_floyd_warshall_equals_plain_passes(n, strip_rows, monkeypatch):
+    """The blocked passes give exactly the plain loop's distances, with
+    strips of 5 rows and with the default strips."""
+    if strip_rows:
+        monkeypatch.setattr(pmedian, "FW_STRIP_CELLS", strip_rows * max(n, 1))
     rng = np.random.default_rng(34 + n)
     for weights in (_random_weights(rng, n, 0.3),
                     _random_weights(rng, n, 0.3, symmetric=False),
