@@ -68,7 +68,7 @@ NEAR_LIST_METHODS = ("brkga", "portfolio")
 
 
 def write_instances(directory=GOLDEN_DIR) -> None:
-    """The three instance files, from fixed generator seeds."""
+    """The instance files, from fixed generator seeds."""
     rng = np.random.default_rng(20241106)
     write_orlib_pmed(20, instgen.connected_graph_edges(rng, 20), 4,
                      os.path.join(directory, INSTANCES["pmedian"][0]))
