@@ -19,6 +19,10 @@ decoder's nearest-neighbour list (`problems.pmedian.NEAR_WIDTH`); it gets
 `solve/pmedian-n160-<method>-table.csv` and `...-trace.csv` for one solver and
 for the portfolio.
 
+`decode/pmedian-n900-p200.txt` holds the `repr` of the p-median decoder's
+objective for 300 fixed key vectors on a generated instance of the paper's
+size (n=900, p=200, alpha=5), one per line.
+
 `tests/test_golden.py` compares a fresh set with the committed one.  After a
 change that is meant to alter behaviour, rewrite the files with
 
@@ -42,7 +46,13 @@ import instgen  # noqa: E402
 
 from keyopt.cli import main  # noqa: E402
 from keyopt.harness import ExperimentConfig, run_experiment  # noqa: E402
-from keyopt.problems import write_hubtree, write_orlib_pmed, write_partition  # noqa: E402
+from keyopt.problems import (  # noqa: E402
+    PMedianDecoder,
+    PMedianInstance,
+    write_hubtree,
+    write_orlib_pmed,
+    write_partition,
+)
 from keyopt.solvers import SOLVER_NAMES, control_grid  # noqa: E402
 from keyopt.solvers.params import DEFAULT_TABLES  # noqa: E402
 
@@ -65,6 +75,12 @@ INSTANCES = {
 # (file name, alpha), and the methods solved on it with table parameters.
 NEAR_LIST_INSTANCE = ("pmedian-n160-p72.txt", 3)
 NEAR_LIST_METHODS = ("brkga", "portfolio")
+
+# The paper-size p-median decode digest: file name, (n, p, alpha), and how
+# many key vectors it costs.
+DECODE_DIGEST = "decode/pmedian-n900-p200.txt"
+DECODE_DIGEST_SIZE = (900, 200, 5)
+DECODE_DIGEST_VECTORS = 300
 
 
 def write_instances(directory=GOLDEN_DIR) -> None:
@@ -142,6 +158,24 @@ def write_bench(problem: str, source: str, path, scratch) -> None:
     shutil.copyfile(report.files["results"], path)
 
 
+def write_decode_digest(path) -> None:
+    """The decoder's objective for random, quarter-grid and constant key
+    vectors on a generated metric instance, one `repr` per line."""
+    n, p, alpha = DECODE_DIGEST_SIZE
+    rng = np.random.default_rng(20261019)
+    decoder = PMedianDecoder(PMedianInstance(dist=instgen.metric_distances(rng, n),
+                                             p=p, alpha=alpha))
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        for i in range(DECODE_DIGEST_VECTORS):
+            keys = rng.random(p)
+            if i % 3 == 1:
+                keys = np.floor(keys * 4) / 4
+            elif i % 3 == 2:
+                keys = np.full(p, keys[0])
+            fh.write(f"{decoder.decode(keys)[0].objective!r}\n")
+
+
 def write_outputs(directory) -> None:
     """Every output file under `directory`, from the committed instances."""
     os.makedirs(os.path.join(directory, "solve"), exist_ok=True)
@@ -166,4 +200,5 @@ if __name__ == "__main__":
     if not os.path.isfile(os.path.join(GOLDEN_DIR, NEAR_LIST_INSTANCE[0])):
         write_instances()
     write_outputs(GOLDEN_DIR)
-    print(f"wrote {len(output_names())} files under {GOLDEN_DIR}")
+    write_decode_digest(os.path.join(GOLDEN_DIR, DECODE_DIGEST))
+    print(f"wrote {len(output_names()) + 1} files under {GOLDEN_DIR}")

@@ -15,3 +15,10 @@ def test_golden_outputs_are_byte_identical(tmp_path):
             if (tmp_path / name).read_bytes() != fh.read():
                 differing.append(name)
     assert not differing, f"{len(differing)} golden files differ: {differing}"
+
+
+def test_paper_size_pmedian_decode_digest_is_byte_identical(tmp_path):
+    path = tmp_path / "digest.txt"
+    golden_cases.write_decode_digest(str(path))
+    with open(os.path.join(golden_cases.GOLDEN_DIR, golden_cases.DECODE_DIGEST), "rb") as fh:
+        assert path.read_bytes() == fh.read()
