@@ -11,10 +11,12 @@ import sys
 
 from .harness import (
     RESULTS_HEADER,
+    InputError,
     ResultRow,
     parse_config,
     profile_csv_from_rows,
     read_bks,
+    read_input,
     read_results,
     run_experiment,
     run_method,
@@ -26,19 +28,6 @@ from .problems import PROBLEMS, brute_force, load_instance, make_decoder
 from .solvers import SOLVER_NAMES, defaults_for
 
 
-class _InputError(Exception):
-    """An input file that cannot be read; `main` reports it in one line."""
-
-
-def _read(reader, *args, **kwargs):
-    """Call an input reader, turning its `ValueError` or `OSError` into an
-    `_InputError`."""
-    try:
-        return reader(*args, **kwargs)
-    except (ValueError, OSError) as exc:
-        raise _InputError(str(exc)) from exc
-
-
 def _add_instance_args(parser):
     parser.add_argument("--problem", required=True, choices=list(PROBLEMS))
     parser.add_argument("--instance", required=True, help="instance file path")
@@ -47,7 +36,7 @@ def _add_instance_args(parser):
 
 
 def _cmd_solve(args) -> int:
-    instance = _read(load_instance, args.problem, args.instance, alpha=args.alpha)
+    instance = read_input(load_instance, args.problem, args.instance, alpha=args.alpha)
     decoder = make_decoder(args.problem, instance)
     results = run_method(
         decoder, args.method, defaults_for(args.problem), args.seed,
@@ -81,7 +70,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _read(parse_config, args.config)
+    config = read_input(parse_config, args.config)
     report = run_experiment(config)
     for name, path in sorted(report.files.items()):
         print(f"{name}: {path}")
@@ -93,8 +82,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    rows = _read(read_results, args.results)
-    bks = _read(read_bks, args.bks)
+    rows = read_input(read_results, args.results)
+    bks = read_input(read_bks, args.bks)
     if not profile_csv_from_rows(rows, bks, args.tolerance, args.out):
         print("need at least two methods with best-known values", file=sys.stderr)
         return 1
@@ -103,8 +92,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    rows = _read(read_results, args.results)
-    bks = _read(read_bks, args.bks) if args.bks else None
+    rows = read_input(read_results, args.results)
+    bks = read_input(read_bks, args.bks) if args.bks else None
     if not wilcoxon_csv_from_rows(rows, bks, args.out):
         print("need at least two methods and five instances", file=sys.stderr)
         return 1
@@ -113,7 +102,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance = _read(load_instance, args.problem, args.instance, alpha=args.alpha)
+    instance = read_input(load_instance, args.problem, args.instance, alpha=args.alpha)
     optimum, certificate = brute_force(args.problem, instance)
     print(f"{os.path.basename(args.instance)} {optimum!r}")
     if args.show_certificate:
@@ -171,7 +160,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as exc:
+    except InputError as exc:
         print(f"keyopt: error: {exc}", file=sys.stderr)
         return 2
 

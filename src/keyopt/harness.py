@@ -19,6 +19,19 @@ SUMMARY_HEADER = "method,best_avg,rpd_best,rpd_avg,time_to_best_avg,n_bks"
 PROFILE_HEADER = "method,log2_tau,rho"
 
 
+class InputError(ValueError):
+    """An input file that cannot be read; the CLI reports it in one line."""
+
+
+def read_input(reader, *args, **kwargs):
+    """Call an input reader, turning its `ValueError` or `OSError` into an
+    `InputError`."""
+    try:
+        return reader(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 @dataclass
 class ResultRow:
     instance: str
@@ -141,9 +154,10 @@ class ExperimentReport:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute every (instance, method, run) cell and write the report
-    files.  Unparseable instances are recorded as failed cells and the run
-    continues."""
-    bks = read_bks(config.bks_path) if config.bks_path else None
+    files.  An unreadable best-known-value file raises `InputError` before
+    any cell runs; unparseable instances are recorded as failed cells and
+    the run continues."""
+    bks = read_input(read_bks, config.bks_path) if config.bks_path else None
     os.makedirs(config.output_dir, exist_ok=True)
     params = solver_params(config)
     q_control = config.params_mode == "qlearning"

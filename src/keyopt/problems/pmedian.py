@@ -82,25 +82,28 @@ class PMedianDecoder(Decoder):
     """Opens the facilities the keys pick and costs them.
 
     When p is large, a vertex's alpha nearest open facilities are read off
-    its `NEAR_WIDTH` nearest vertices instead of sorting all p open columns;
-    the list is used when it is shorter than p and expected to hold at least
-    2·alpha open facilities.  Both ways give the same cost, bit for bit.
+    its `NEAR_WIDTH` (at most 64) nearest vertices instead of sorting all p
+    open columns; the list is used when it is shorter than p and expected to
+    hold at least 2·alpha open facilities.  Both ways give the same cost,
+    bit for bit.
     """
 
     def __init__(self, instance: PMedianInstance):
         self.instance = instance
         self.dimension = instance.p
         n, p, alpha = instance.n, instance.p, instance.alpha
+        # Candidate-list lengths n, n-1, ..., n-p+1 as the key walk meets them.
+        self._lens = np.arange(n, n - p, -1, dtype=float)
         self._near = None
         if NEAR_WIDTH < p and NEAR_WIDTH * p >= 2 * alpha * n:
             self._near = near_lists(instance.dist, NEAR_WIDTH)
 
     def decode(self, keys: np.ndarray) -> tuple[Fitness, tuple]:
         inst = self.instance
-        candidates = list(range(inst.n))
-        opened = []
-        for key in keys.tolist():
-            opened.append(candidates.pop(math.floor(key * len(candidates))))
+        # Key j picks candidate floor(key_j * (n - j)) of those left: the same
+        # IEEE product and rounding as `math.floor(key * len(candidates))`.
+        pop = list(range(inst.n)).pop
+        opened = [pop(i) for i in np.floor(keys * self._lens).astype(np.intp).tolist()]
         if self._near is None:
             cost = assignment_cost(inst.dist, opened, inst.alpha)
         else:
@@ -112,21 +115,34 @@ class PMedianDecoder(Decoder):
         whose list holds fewer than alpha open facilities sorts all of them."""
         inst = self.instance
         near, near_dist = self._near
-        is_open = np.zeros(inst.n, dtype=bool)
+        n, width = near.shape
+        is_open = np.zeros(n, dtype=bool)
         is_open[opened] = True
-        hit = is_open[near]
-        rows = np.arange(inst.n)
+        # Bit k of a vertex's mask is set when its k-th nearest vertex is open.
+        packed = np.packbits(np.take(is_open, near), axis=1, bitorder="little")
+        if packed.shape[1] < 8:
+            packed = np.pad(packed, ((0, 0), (0, 8 - packed.shape[1])))
+        mask = packed.view("<u8")[:, 0]
+        low = np.empty_like(mask)
+        flat_dist = near_dist.reshape(-1)
+        # Bit k read by np.frexp gives exponent k + 1, so a vertex's entry k
+        # in `flat_dist` sits at `before_row + k + 1`.  An empty mask gives
+        # exponent 0, which "clip" keeps in bounds; such rows are replaced
+        # below.
+        before_row = np.arange(-1, n * width - 1, width)
         # Row j holds every vertex's j-th nearest open facility distance.
         # This C-ordered (alpha, n) array has the memory order of the
         # Fortran (n, alpha) block `assignment_cost` sums, so the sums agree.
-        nearest = np.empty((inst.alpha, inst.n))
+        nearest = np.empty((inst.alpha, n))
         for j in range(inst.alpha):
-            if j:
-                hit[rows, first] = False
-            first = hit.argmax(axis=1)
-            nearest[j] = near_dist[rows, first]
-        # A list that ran out of open facilities points at a closed one.
-        short = np.flatnonzero(~hit[rows, first])
+            # The lowest set bit, m & -m in two's complement; then clear it.
+            np.negative(mask, out=low)
+            low &= mask
+            mask ^= low
+            # Powers of two are exact doubles, so the exponent is exact.
+            np.take(flat_dist, before_row + np.frexp(low)[1], out=nearest[j], mode="clip")
+        # A list that ran out of open facilities left its mask empty.
+        short = np.flatnonzero(low == 0)
         if short.size:
             nearest[:, short] = _sorted_open(inst.dist[short], opened)[:, :inst.alpha].T
         return float(nearest.sum())

@@ -302,6 +302,23 @@ def test_cli_reports_an_unreadable_config_bks_or_results_file_in_one_line(
     _one_line_error(code, capsys, "bks.txt line 1: bad value 'ten' for 'value'")
 
 
+def test_cli_bench_reports_an_unreadable_bks_file_before_any_cell_runs(
+        pmed_files, tmp_path, capsys, monkeypatch):
+    paths, _ = pmed_files
+    cells = []
+    monkeypatch.setattr("keyopt.harness.run_cell", lambda *a, **k: cells.append(a))
+    bad_bks = tmp_path / "bks.txt"
+    bad_bks.write_text("a.txt ten\n")
+    out = tmp_path / "out"
+    cfg = tmp_path / "bench.cfg"
+    for bks, fragment in ((bad_bks, "bks.txt line 1: bad value 'ten' for 'value'"),
+                          (tmp_path / "none.txt", "No such file or directory")):
+        cfg.write_text(f"problem = pmedian\ninstance = {paths[0]}\nmethods = sa\n"
+                       f"runs = 1\nmax_evals = 50\noutput_dir = {out}\nbks = {bks}\n")
+        _one_line_error(main(["bench", "--config", str(cfg)]), capsys, fragment)
+        assert not cells and not out.exists()
+
+
 def test_cli_keeps_the_traceback_of_an_error_past_the_input_files(
         pmed_files, monkeypatch):
     def failing_run(*args, **kwargs):
@@ -311,6 +328,19 @@ def test_cli_keeps_the_traceback_of_an_error_past_the_input_files(
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", "--problem", "pmedian", "--instance", pmed_files[0][0],
               "--method", "sa", "--max-evals", "10"])
+
+
+def test_cli_bench_keeps_the_traceback_of_a_solver_error(pmed_files, tmp_path, monkeypatch):
+    paths, bks_path = pmed_files
+    def failing_run(*args, **kwargs):
+        raise ValueError("solver fault")
+
+    monkeypatch.setattr("keyopt.harness.run_method", failing_run)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"problem = pmedian\ninstance = {paths[0]}\nmethods = sa\nruns = 1\n"
+                   f"max_evals = 10\noutput_dir = {tmp_path / 'out'}\nbks = {bks_path}\n")
+    with pytest.raises(ValueError, match="solver fault"):
+        main(["bench", "--config", str(cfg)])
 
 
 def test_cli_bench_profile_stats_pipeline(pmed_files, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import instgen
 from keyopt.problems import pmedian
-from keyopt.core import ParseError, RngStream, SizeGuardError, random_vector
+from keyopt.core import KEY_MAX, ParseError, RngStream, SizeGuardError, random_vector
 from keyopt.problems import (
     HubTreeDecoder,
     HubTreeInstance,
@@ -357,6 +357,45 @@ def test_pmedian_list_path_falls_back_for_short_lists(monkeypatch):
         assert cost == assignment_cost(inst.dist, opened, inst.alpha)
         short_rows += int((np.isin(near, opened).sum(axis=1) < inst.alpha).sum())
     assert short_rows > 100
+
+
+@pytest.mark.parametrize("width, n, p, alpha", [
+    (13, 100, 50, 3), (13, 100, 40, 1), (64, 900, 70, 2), (64, 900, 65, 1),
+])
+def test_pmedian_mask_kernel_widths_and_rows_with_exactly_alpha_open(
+        width, n, p, alpha, monkeypatch):
+    """Lists of 13 entries (not a whole number of bytes) and of 64 (a full
+    mask), alpha = 1, and rows whose list holds exactly alpha open
+    facilities, so their mask runs empty in the last round."""
+    monkeypatch.setattr(pmedian, "NEAR_WIDTH", width)
+    rng = np.random.default_rng(35)
+    inst = PMedianInstance(dist=instgen.metric_distances(rng, n), p=p, alpha=alpha)
+    near, _ = pmedian.near_lists(inst.dist, width)
+    exact_rows = 0
+    for cost, opened in _list_path_decodes(inst, count=200, seed=2):
+        assert cost == assignment_cost(inst.dist, opened, alpha)
+        exact_rows += int((np.isin(near, opened).sum(axis=1) == alpha).sum())
+    assert exact_rows > 0
+
+
+def _floor_loop_walk(n, keys) -> tuple:
+    candidates = list(range(n))
+    return tuple(candidates.pop(math.floor(key * len(candidates))) for key in keys.tolist())
+
+
+@pytest.mark.parametrize("n, p", [(200, 10), (300, 80)])
+def test_pmedian_key_walk_matches_the_floor_loop_on_edge_keys(n, p):
+    """Both decode paths open what `math.floor(key * len(candidates))` picks,
+    also for keys at and just below the multiples j / len."""
+    rng = np.random.default_rng(36)
+    decoder = PMedianDecoder(PMedianInstance(dist=instgen.metric_distances(rng, n), p=p))
+    lens = np.arange(n, n - p, -1, dtype=float)
+    vectors = [np.zeros(p), np.full(p, KEY_MAX)]
+    for j in (np.ones(p), np.full(p, 3.0), np.floor(lens / 3), np.floor(lens / 2), lens - 1):
+        vectors += [j / lens, np.nextafter(j / lens, 0)]
+    vectors += [np.floor(rng.random(p) * 4) / 4 for _ in range(50)]
+    for keys in vectors:
+        assert decoder.decode(keys)[1] == _floor_loop_walk(n, keys)
 
 
 def test_pmedian_gather_path_below_the_list_threshold():
