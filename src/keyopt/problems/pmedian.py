@@ -119,7 +119,7 @@ class PMedianDecoder(Decoder):
         is_open = np.zeros(n, dtype=bool)
         is_open[opened] = True
         # Bit k of a vertex's mask is set when its k-th nearest vertex is open.
-        packed = np.packbits(np.take(is_open, near), axis=1, bitorder="little")
+        packed = np.packbits(is_open[near], axis=1, bitorder="little")
         if packed.shape[1] < 8:
             packed = np.pad(packed, ((0, 0), (0, 8 - packed.shape[1])))
         mask = packed.view("<u8")[:, 0]

@@ -320,7 +320,7 @@ def test_cli_bench_reports_an_unreadable_bks_file_before_any_cell_runs(
 
 
 def test_cli_keeps_the_traceback_of_an_error_past_the_input_files(
-        pmed_files, monkeypatch):
+        pmed_files, tmp_path, monkeypatch):
     def failing_run(*args, **kwargs):
         raise ValueError("solver fault")
 
@@ -328,17 +328,12 @@ def test_cli_keeps_the_traceback_of_an_error_past_the_input_files(
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", "--problem", "pmedian", "--instance", pmed_files[0][0],
               "--method", "sa", "--max-evals", "10"])
-
-
-def test_cli_bench_keeps_the_traceback_of_a_solver_error(pmed_files, tmp_path, monkeypatch):
-    paths, bks_path = pmed_files
-    def failing_run(*args, **kwargs):
-        raise ValueError("solver fault")
-
+    # `bench` reads its best-known file inside the experiment runner too.
     monkeypatch.setattr("keyopt.harness.run_method", failing_run)
     cfg = tmp_path / "bench.cfg"
-    cfg.write_text(f"problem = pmedian\ninstance = {paths[0]}\nmethods = sa\nruns = 1\n"
-                   f"max_evals = 10\noutput_dir = {tmp_path / 'out'}\nbks = {bks_path}\n")
+    cfg.write_text(f"problem = pmedian\ninstance = {pmed_files[0][0]}\nmethods = sa\n"
+                   f"runs = 1\nmax_evals = 10\noutput_dir = {tmp_path / 'out'}\n"
+                   f"bks = {pmed_files[1]}\n")
     with pytest.raises(ValueError, match="solver fault"):
         main(["bench", "--config", str(cfg)])
 
