@@ -102,8 +102,8 @@ class PMedianDecoder(Decoder):
         inst = self.instance
         # Key j picks candidate floor(key_j * (n - j)) of those left: the same
         # IEEE product and rounding as `math.floor(key * len(candidates))`.
-        pop = list(range(inst.n)).pop
-        opened = [pop(i) for i in np.floor(keys * self._lens).astype(np.intp).tolist()]
+        picks = np.floor(keys * self._lens).astype(np.intp).tolist()
+        opened = list(map(list(range(inst.n)).pop, picks))
         if self._near is None:
             cost = assignment_cost(inst.dist, opened, inst.alpha)
         else:

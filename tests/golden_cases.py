@@ -76,11 +76,8 @@ INSTANCES = {
 NEAR_LIST_INSTANCE = ("pmedian-n160-p72.txt", 3)
 NEAR_LIST_METHODS = ("brkga", "portfolio")
 
-# The paper-size p-median decode digest: file name, (n, p, alpha), and how
-# many key vectors it costs.
+# The paper-size p-median decode digest, relative to the golden directory.
 DECODE_DIGEST = "decode/pmedian-n900-p200.txt"
-DECODE_DIGEST_SIZE = (900, 200, 5)
-DECODE_DIGEST_VECTORS = 300
 
 
 def write_instances(directory=GOLDEN_DIR) -> None:
@@ -161,13 +158,12 @@ def write_bench(problem: str, source: str, path, scratch) -> None:
 def write_decode_digest(path) -> None:
     """The decoder's objective for random, quarter-grid and constant key
     vectors on a generated metric instance, one `repr` per line."""
-    n, p, alpha = DECODE_DIGEST_SIZE
+    n, p, alpha = 900, 200, 5
     rng = np.random.default_rng(20261019)
     decoder = PMedianDecoder(PMedianInstance(dist=instgen.metric_distances(rng, n),
                                              p=p, alpha=alpha))
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
-        for i in range(DECODE_DIGEST_VECTORS):
+        for i in range(300):
             keys = rng.random(p)
             if i % 3 == 1:
                 keys = np.floor(keys * 4) / 4
