@@ -28,6 +28,17 @@ from .problems import PROBLEMS, brute_force, load_instance, make_decoder
 from .solvers import SOLVER_NAMES, defaults_for
 
 
+def _positive(cast):
+    """An argparse type: `cast` of the value text, rejected unless > 0."""
+    def parse(text):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__  # names the type in argparse's "invalid" message
+    return parse
+
+
 def _add_instance_args(parser):
     parser.add_argument("--problem", required=True, choices=list(PROBLEMS))
     parser.add_argument("--instance", required=True, help="instance file path")
@@ -121,12 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(solve)
     solve.add_argument("--method", default="portfolio",
                        choices=["portfolio", *SOLVER_NAMES])
-    solve.add_argument("--time", type=float, default=None,
+    solve.add_argument("--time", type=_positive(float), default=None,
                        help="wall-clock limit in seconds (default: per-problem rule)")
-    solve.add_argument("--max-evals", type=int, default=None,
+    solve.add_argument("--max-evals", type=_positive(int), default=None,
                        help="evaluation budget; used alone it makes runs reproducible")
     solve.add_argument("--seed", type=int, default=1)
-    solve.add_argument("--pool-size", type=int, default=20)
+    solve.add_argument("--pool-size", type=_positive(int), default=20)
     solve.add_argument("--params", default="table", choices=["table", "qlearning"])
     solve.add_argument("--out", default=None, help="write a one-row result CSV")
     solve.add_argument("--trace", default=None, help="write the improvement trace CSV")

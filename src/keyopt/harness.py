@@ -70,6 +70,10 @@ class ExperimentConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError(f"time limit must be > 0, got {self.time_limit}")
+        if self.max_evals is not None and self.max_evals < 1:
+            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
+        if self.pool_capacity < 1:
+            raise ValueError(f"pool_size must be >= 1, got {self.pool_capacity}")
         if self.params_mode not in ("table", "qlearning"):
             raise ValueError(f"unknown parameter source: {self.params_mode}")
         choices = ("portfolio", *SOLVER_NAMES)

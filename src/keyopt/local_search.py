@@ -38,12 +38,6 @@ FAREY_GAPS = tuple(zip(FAREY_ORDER7[:-1].tolist(), FAREY_ORDER7[1:].tolist()))
 
 BUDGET_CHECK_EVERY = 64
 
-SWAP = "swap"
-FAREY = "farey"
-MIRROR = "mirror"
-NELDER_MEAD = "nelder_mead"
-ALL_NEIGHBORHOODS = (SWAP, FAREY, MIRROR, NELDER_MEAD)
-
 
 def draw_in_interval(rng: RngStream, lo: float, hi: float) -> float:
     """Uniform draw strictly inside (lo, hi).  Written out as
@@ -282,31 +276,28 @@ def rvnd(
     best_fit = _ensure_fitness(keys, decoder, fitness, tally)
 
     def full_list():
-        names = [SWAP, FAREY, MIRROR]
+        # Looked up on each call, so a replaced module global takes effect.
+        searches = [swap_ls, farey_ls, mirror_ls]
         if pool is not None and pool.size >= 2:
-            names.append(NELDER_MEAD)
-        return names
+            searches.append(nelder_mead_ls)
+        return searches
 
     active = full_list()
     while active:
         if tally.expired():
             break
-        name = active[rng.integers(0, len(active))]
-        if name == SWAP:
-            cand, cand_fit = swap_ls(best, decoder, rng, best_fit, tally)
-        elif name == FAREY:
-            cand, cand_fit = farey_ls(best, decoder, rng, best_fit, tally)
-        elif name == MIRROR:
-            cand, cand_fit = mirror_ls(best, decoder, rng, best_fit, tally)
-        else:
+        search = active[rng.integers(0, len(active))]
+        if search is nelder_mead_ls:
             k2, f2 = pool.sample(rng)
             k3, f3 = pool.sample(rng)
-            cand, cand_fit = nelder_mead_ls(
+            cand, cand_fit = search(
                 best, k2, k3, decoder, rng, (best_fit, f2, f3), tally=tally,
             )
+        else:
+            cand, cand_fit = search(best, decoder, rng, best_fit, tally)
         if cand_fit.objective < best_fit.objective:
             best, best_fit = cand, cand_fit
             active = full_list()
         else:
-            active.remove(name)
+            active.remove(search)
     return best, best_fit

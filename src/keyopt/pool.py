@@ -95,7 +95,6 @@ def init_pool(
     capacity: int,
     decoder: Decoder,
     rng: RngStream,
-    eps_clone: float = DEFAULT_EPS_CLONE,
     budget: TimeBudget | None = None,
 ) -> ElitePool:
     """Fill a fresh pool with `capacity` random vectors, each refined by one
@@ -106,7 +105,7 @@ def init_pool(
     random draw and kept regardless, so initialization always terminates
     with a full pool.
     """
-    pool = ElitePool(capacity, eps_clone)
+    pool = ElitePool(capacity)
     tally = EvalTally(budget)
     for _ in range(capacity):
         keys = random_vector(decoder.dimension, rng)

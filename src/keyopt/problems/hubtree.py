@@ -69,15 +69,11 @@ class HubTreeInstance:
         return self.n + (self.n - p) + p * (p - 1) // 2
 
 
-def hub_pairs(p: int) -> list[tuple[int, int]]:
-    """Canonical enumeration of hub-pair positions: (i, j) with i < j in
-    lexicographic order."""
-    return list(itertools.combinations(range(p), 2))
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_hub_pairs(p: int) -> tuple[tuple[int, int], ...]:
-    return tuple(hub_pairs(p))
+    """Canonical enumeration of hub-pair positions: (i, j) with i < j in
+    lexicographic order."""
+    return tuple(itertools.combinations(range(p), 2))
 
 
 def kruskal_tree(p: int, arc_order) -> list[tuple[int, int]]:

@@ -1,6 +1,6 @@
 """The eight metaheuristic drivers and the portfolio that runs them in turns."""
 
-from .base import BestTracker, RunResult, metropolis_accept
+from .base import RunResult, metropolis_accept
 from .params import (
     BrkgaParams,
     GaParams,
@@ -20,7 +20,6 @@ from .portfolio import SOLVERS, PortfolioResult, run_portfolio
 from .trajectory import lns_repair, run_grasp, run_ils, run_lns, run_sa, run_vns
 
 __all__ = [
-    "BestTracker",
     "RunResult",
     "metropolis_accept",
     "BrkgaParams",

@@ -1,13 +1,13 @@
-"""Shared solver plumbing: run results, best-so-far tracking with pool
-offers, the per-run context every driver runs in, and the Metropolis
-acceptance rule."""
+"""Shared solver plumbing: run results, the per-run context every driver
+runs in (meter, best-so-far with pool offers, controller), the cooling step
+and the Metropolis acceptance rule."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import Decoder, EvalTally, Fitness, TimeBudget, evaluate
+from ..core import Decoder, EvalTally, Fitness, TimeBudget, evaluate, random_vector
 from ..pool import ElitePool
 from ..qlearning import QController
 from .params import with_overrides
@@ -15,6 +15,13 @@ from .params import with_overrides
 # Reheat threshold: cooling below this resets the temperature to its start
 # value so a wall-clock run keeps exploring.
 TEMP_FLOOR = 1e-4
+
+
+def cooled(temp: float, p) -> float:
+    """One geometric cooling step by `p.alpha`, reheating to `p.t0` below
+    TEMP_FLOOR."""
+    temp *= p.alpha
+    return p.t0 if temp < TEMP_FLOOR else temp
 
 
 @dataclass
@@ -29,16 +36,26 @@ class RunResult:
     trace: list[tuple[float, float]] = field(default_factory=list)
 
 
-class BestTracker:
-    """Tracks a solver's own best solution.
+class SolverRun:
+    """One driver run: its meter (the evaluation tally spent against the
+    run's budget), its best-so-far with the pool offers, and its parameter
+    controller.
 
-    Every strict improvement is appended to the trace, timestamped with the
-    run meter's clock, and offered to the shared elite pool.
+    Every strict improvement of the best is appended to the trace,
+    timestamped with the meter's clock, and offered to the shared elite
+    pool.  `iterations()` drives the outer loop.  Each step yields the
+    parameter record to use; with a controller attached, that record is the
+    controller's selection, and the controller is credited with the change
+    of the best objective when the step ends.
     """
 
-    def __init__(self, tally: EvalTally, pool: ElitePool | None = None):
-        self.tally = tally
+    def __init__(self, decoder: Decoder, params, pool: ElitePool | None, budget: TimeBudget,
+                 controller: QController | None = None):
+        self.decoder = decoder
+        self.params = params
         self.pool = pool
+        self.tally = EvalTally(budget)
+        self.controller = controller
         self.best_keys: np.ndarray | None = None
         self.best_fitness: Fitness | None = None
         self.time_to_best = 0.0
@@ -49,6 +66,8 @@ class BestTracker:
         return math.inf if self.best_fitness is None else self.best_fitness.objective
 
     def consider(self, keys: np.ndarray, fitness: Fitness) -> bool:
+        """Take `keys` as the new best if they strictly improve on it; return
+        whether they did."""
         if fitness.objective >= self.best_objective:
             return False
         self.best_keys = np.array(keys, copy=True)
@@ -58,6 +77,42 @@ class BestTracker:
         if self.pool is not None:
             self.pool.offer(keys, fitness)
         return True
+
+    def evaluate(self, keys: np.ndarray) -> Fitness:
+        """Decode `keys`, counting the call, and consider them for the best."""
+        fit = evaluate(self.decoder, keys, self.tally)
+        self.consider(keys, fit)
+        return fit
+
+    def random_member(self, rng) -> tuple[np.ndarray, Fitness]:
+        """A fresh random vector and its (evaluated) fitness."""
+        keys = random_vector(self.decoder.dimension, rng)
+        return keys, self.evaluate(keys)
+
+    def keep(self, keys: np.ndarray, fit: Fitness) -> tuple[np.ndarray, Fitness]:
+        """Consider an already evaluated pair, e.g. a local search's result,
+        for the best and return it."""
+        self.consider(keys, fit)
+        return keys, fit
+
+    def expired(self) -> bool:
+        return self.tally.expired()
+
+    def iterations(self):
+        """Parameter records, one per outer iteration, until the budget
+        expires.  A step that makes no decoder call ends the run: under an
+        evaluation-only budget it would repeat forever."""
+        while not self.expired():
+            prev_best = self.best_objective
+            evals_before = self.tally.count
+            params = self.params
+            if self.controller is not None:
+                params = with_overrides(params, self.controller.select(self.tally.progress()))
+            yield params
+            if self.controller is not None:
+                self.controller.observe(prev_best, self.best_objective, self.tally.progress())
+            if self.tally.count == evals_before:
+                return
 
     def result(self, solver: str) -> RunResult:
         if self.best_keys is None:
@@ -70,60 +125,6 @@ class BestTracker:
             evaluations=self.tally.count,
             trace=list(self.trace),
         )
-
-
-class SolverRun:
-    """One driver run: its meter (the evaluation tally spent against the
-    run's budget), its best-so-far tracker and its parameter controller.
-
-    `iterations()` drives the outer loop.  Each step yields the parameter
-    record to use; with a controller attached, that record is the
-    controller's selection, and the controller is credited with the change
-    of the best objective when the step ends.
-    """
-
-    def __init__(self, decoder: Decoder, params, pool: ElitePool | None, budget: TimeBudget,
-                 controller: QController | None = None):
-        self.decoder = decoder
-        self.params = params
-        self.tally = EvalTally(budget)
-        self.tracker = BestTracker(self.tally, pool)
-        self.controller = controller
-
-    def evaluate(self, keys: np.ndarray) -> Fitness:
-        """Decode `keys`, counting the call, and offer them to the tracker."""
-        fit = evaluate(self.decoder, keys, self.tally)
-        self.tracker.consider(keys, fit)
-        return fit
-
-    def keep(self, keys: np.ndarray, fit: Fitness) -> tuple[np.ndarray, Fitness]:
-        """Offer an already evaluated pair, e.g. a local search's result, to
-        the tracker and return it."""
-        self.tracker.consider(keys, fit)
-        return keys, fit
-
-    def expired(self) -> bool:
-        return self.tally.expired()
-
-    def iterations(self):
-        """Parameter records, one per outer iteration, until the budget
-        expires.  A step that makes no decoder call ends the run: under an
-        evaluation-only budget it would repeat forever."""
-        while not self.expired():
-            prev_best = self.tracker.best_objective
-            evals_before = self.tally.count
-            params = self.params
-            if self.controller is not None:
-                params = with_overrides(params, self.controller.select(self.tally.progress()))
-            yield params
-            if self.controller is not None:
-                self.controller.observe(prev_best, self.tracker.best_objective,
-                                        self.tally.progress())
-            if self.tally.count == evals_before:
-                return
-
-    def result(self, solver: str) -> RunResult:
-        return self.tracker.result(solver)
 
 
 def metropolis_accept(delta: float, temperature: float, rng) -> bool:

@@ -4,7 +4,7 @@ optimization."""
 
 import numpy as np
 
-from ..core import Decoder, RngStream, TimeBudget, clamp_keys, random_vector
+from ..core import Decoder, RngStream, TimeBudget, clamp_keys
 from ..local_search import rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
@@ -23,15 +23,10 @@ def brkga_partition(p: int, pe: float, pm: float) -> tuple[int, int, int]:
     return n_elite, n_mutant, p - n_elite - n_mutant
 
 
-def _random_member(run: SolverRun, rng):
-    keys = random_vector(run.decoder.dimension, rng)
-    return keys, run.evaluate(keys)
-
-
 def _init_population(run: SolverRun, size, rng):
     pop, fits = [], []
     for _ in range(size):
-        keys, fit = _random_member(run, rng)
+        keys, fit = run.random_member(rng)
         pop.append(keys)
         fits.append(fit)
         if run.expired():
@@ -45,11 +40,12 @@ def _sorted_population(pop, fits):
 
 
 def _resize_population(run: SolverRun, pop, fits, target, rng):
-    """Grow with fresh random vectors or truncate the (sorted) tail."""
+    """Grow with fresh random vectors or truncate the tail, which holds the
+    worst members when the population is sorted."""
     if target < len(pop):
         return pop[:target], fits[:target]
     while len(pop) < target and not run.expired():
-        keys, fit = _random_member(run, rng)
+        keys, fit = run.random_member(rng)
         pop.append(keys)
         fits.append(fit)
     return pop, fits
@@ -71,7 +67,7 @@ def run_brkga(
     pop, fits = _sorted_population(pop, fits)
 
     for p in run.iterations():
-        prev_best = run.tracker.best_objective
+        prev_best = run.best_objective
         if p.p != len(pop):
             pop, fits = _resize_population(run, pop, fits, p.p, rng)
             pop, fits = _sorted_population(pop, fits)
@@ -83,7 +79,7 @@ def run_brkga(
         for _ in range(n_mutant):
             if run.expired():
                 break
-            keys, fit = _random_member(run, rng)
+            keys, fit = run.random_member(rng)
             new_pop.append(keys)
             new_fits.append(fit)
         for _ in range(n_offspring):
@@ -96,10 +92,9 @@ def run_brkga(
             new_fits.append(run.evaluate(child))
         pop, fits = _sorted_population(new_pop, new_fits)
 
-        tracker = run.tracker
-        if tracker.best_objective < prev_best:
+        if run.best_objective < prev_best:
             improved, improved_fit = run.keep(*rvnd(
-                tracker.best_keys, decoder, pool, rng, tracker.best_fitness, run.tally
+                run.best_keys, decoder, pool, rng, run.best_fitness, run.tally
             ))
             pop[-1] = improved
             fits[-1] = improved_fit
@@ -192,17 +187,12 @@ def run_pso(
 
     for p in run.iterations():
         if p.p != len(pos):
-            keep = min(p.p, len(pos))
-            pos, fits = pos[:keep], fits[:keep]
-            vel = vel[:keep]
-            p_best, p_best_fit = p_best[:keep], p_best_fit[:keep]
-            while len(pos) < p.p and not run.expired():
-                keys, fit = _random_member(run, rng)
-                pos.append(keys)
-                fits.append(fit)
-                vel.append(np.zeros(decoder.dimension))
-                p_best.append(keys.copy())
-                p_best_fit.append(fit)
+            # Unsorted, so truncation keeps particle order.
+            kept = min(p.p, len(pos))
+            pos, fits = _resize_population(run, pos, fits, p.p, rng)
+            vel = vel[:kept] + [np.zeros(decoder.dimension) for _ in pos[kept:]]
+            p_best = p_best[:kept] + [k.copy() for k in pos[kept:]]
+            p_best_fit = p_best_fit[:kept] + fits[kept:]
 
         for i in range(len(pos)):
             r1, r2 = rng.random(), rng.random()

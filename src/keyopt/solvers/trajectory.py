@@ -12,12 +12,12 @@ import math
 
 import numpy as np
 
-from ..core import Decoder, EvalTally, RngStream, TimeBudget, evaluate, random_vector
+from ..core import Decoder, EvalTally, RngStream, TimeBudget, evaluate
 from ..local_search import BudgetTicker, best_key_value, farey_draws, rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
 from ..variation import ShakeParams, shake
-from .base import TEMP_FLOOR, RunResult, SolverRun, metropolis_accept
+from .base import RunResult, SolverRun, cooled, metropolis_accept
 
 
 def _shake_range(beta_min: float, beta_max: float) -> ShakeParams:
@@ -37,8 +37,7 @@ def run_sa(
     """Metropolis sampling over shaken neighbors with geometric cooling; the
     incumbent is polished by RVND before every temperature drop."""
     run = SolverRun(decoder, params, pool, budget, controller)
-    keys = random_vector(decoder.dimension, rng)
-    fit = run.evaluate(keys)
+    keys, fit = run.random_member(rng)
 
     temp = params.t0
     for p in run.iterations():
@@ -51,9 +50,7 @@ def run_sa(
             if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
                 keys, fit = cand, cand_fit
         keys, fit = run.keep(*rvnd(keys, decoder, pool, rng, fit, run.tally))
-        temp *= p.alpha
-        if temp < TEMP_FLOOR:
-            temp = p.t0
+        temp = cooled(temp, p)
     return run.result("sa")
 
 
@@ -68,8 +65,7 @@ def run_ils(
     """Shake the best-so-far, descend with RVND, keep the result when it
     improves."""
     run = SolverRun(decoder, params, pool, budget, controller)
-    incumbent = random_vector(decoder.dimension, rng)
-    fit = run.evaluate(incumbent)
+    incumbent, fit = run.random_member(rng)
 
     for p in run.iterations():
         cand = shake(incumbent, _shake_range(p.beta_min, p.beta_max), rng)
@@ -91,8 +87,7 @@ def run_vns(
     beta_min); improvement resets k to 1, failure advances it, and k wraps
     after k_max."""
     run = SolverRun(decoder, params, pool, budget, controller)
-    incumbent = random_vector(decoder.dimension, rng)
-    fit = run.evaluate(incumbent)
+    incumbent, fit = run.random_member(rng)
 
     k = 1
     for p in run.iterations():
@@ -163,8 +158,7 @@ def run_grasp(
     iteration, and resets to hs once it would pass he.
     """
     run = SolverRun(decoder, params, pool, budget, controller)
-    incumbent = random_vector(decoder.dimension, rng)
-    fit = run.evaluate(incumbent)
+    incumbent, fit = run.random_member(rng)
 
     spacing = params.hs
     temp = params.t0
@@ -181,9 +175,7 @@ def run_grasp(
             spacing /= 2.0
             if spacing < p.he:
                 spacing = p.hs
-        temp *= p.alpha
-        if temp < TEMP_FLOOR:
-            temp = p.t0
+        temp = cooled(temp, p)
     return run.result("grasp")
 
 
@@ -219,8 +211,7 @@ def run_lns(
     accept by the Metropolis rule, and polish every new global best with
     RVND."""
     run = SolverRun(decoder, params, pool, budget, controller)
-    keys = random_vector(decoder.dimension, rng)
-    fit = run.evaluate(keys)
+    keys, fit = run.random_member(rng)
 
     n = decoder.dimension
     temp = params.t0
@@ -230,11 +221,9 @@ def run_lns(
         count = min(n, max(1, math.ceil(beta * n)))
         removed = rng.choice(n, size=count, replace=False)
         cand, cand_fit = lns_repair(keys, removed, decoder, rng, fit, run.tally)
-        if run.tracker.consider(cand, cand_fit):
+        if run.consider(cand, cand_fit):
             cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, cand_fit, run.tally))
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             keys, fit = cand, cand_fit
-        temp *= p.alpha
-        if temp < TEMP_FLOOR:
-            temp = p.t0
+        temp = cooled(temp, p)
     return run.result("lns")

@@ -254,6 +254,12 @@ def test_cli_rejects_an_unknown_problem_with_a_usage_error(capsys):
             main([command, "--problem", "knapsack", "--instance", "x.txt"])
         assert info.value.code == 2
         assert "invalid choice: 'knapsack'" in capsys.readouterr().err
+    for flag, value in (("--max-evals", "0"), ("--pool-size", "0"), ("--time", "0"),
+                        ("--time", "-1.5"), ("--max-evals", "-3")):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--problem", "pmedian", "--instance", "x.txt", flag, value])
+        assert info.value.code == 2
+        assert f"argument {flag}: must be > 0, got '{value}'" in capsys.readouterr().err
 
 
 def _one_line_error(code, capsys, fragment):
@@ -283,6 +289,13 @@ def test_cli_reports_an_unreadable_config_bks_or_results_file_in_one_line(
                     "bench.cfg line 3: bad value 'five' for 'runs'")
     _one_line_error(main(["bench", "--config", str(tmp_path / "none.cfg")]), capsys,
                     "none.cfg")
+    out = tmp_path / "out"
+    for line, fragment in (("max_evals = 0", "max_evals must be >= 1, got 0"),
+                           ("pool_size = 0", "pool_size must be >= 1, got 0")):
+        cfg.write_text(f"problem = pmedian\ninstance = {paths[0]}\nmethods = sa\n"
+                       f"runs = 1\noutput_dir = {out}\n{line}\n")
+        _one_line_error(main(["bench", "--config", str(cfg)]), capsys, fragment)
+        assert not out.exists()
     results = tmp_path / "r.csv"
     results.write_text("instance,method,run,objective,time_to_best,evaluations\n"
                        "a.txt,sa,0,10.0,3.0\n")
