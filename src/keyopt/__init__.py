@@ -9,13 +9,12 @@ parameter control) works on plain key vectors.
 from .core import (
     Decoder,
     DimensionError,
-    EvalTally,
     Fitness,
+    Meter,
     ParseError,
     RngStream,
     SizeGuardError,
     TimeBudget,
-    evaluate,
     random_vector,
 )
 from .pool import ElitePool, EmptyPoolError, init_pool
@@ -26,13 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Decoder",
     "DimensionError",
-    "EvalTally",
     "Fitness",
+    "Meter",
     "ParseError",
     "RngStream",
     "SizeGuardError",
     "TimeBudget",
-    "evaluate",
     "random_vector",
     "ElitePool",
     "EmptyPoolError",

@@ -1,5 +1,5 @@
 """Foundational types: key vectors, the decoder contract, seeded RNG streams,
-and evaluation accounting.
+and the run meter every decode goes through.
 
 A candidate solution is a vector of *random keys*: float64 values in [0, 1).
 Solvers only ever manipulate key vectors; a problem-specific decoder maps a
@@ -124,16 +124,26 @@ def mirror_key(x: float) -> float:
     return min(1.0 - x, KEY_MAX)
 
 
-class EvalTally:
-    """A run's meter: the count of decoder invocations and the budget that
-    count is spent against.  Without a budget it never expires."""
+class Meter:
+    """A run's meter and its one way to decode: every call is checked
+    against the decoder's dimension, counted, and spent against the
+    budget.  Without a budget it never expires."""
 
-    def __init__(self, budget: "TimeBudget | None" = None):
-        self.count = 0
+    def __init__(self, decoder: Decoder, budget: "TimeBudget | None" = None):
+        self.dimension = decoder.dimension
         self.budget = budget
+        self.count = 0
+        self._decode = decoder.decode
 
-    def tick(self) -> None:
+    def evaluate(self, keys: np.ndarray) -> Fitness:
+        """Decode a key vector, counting the call."""
+        if len(keys) != self.dimension:
+            raise DimensionError(
+                f"vector of length {len(keys)} for decoder of dimension {self.dimension}"
+            )
         self.count += 1
+        fit, _ = self._decode(keys)
+        return fit
 
     def expired(self) -> bool:
         return self.budget is not None and self.budget.expired(self.count)
@@ -143,18 +153,6 @@ class EvalTally:
 
     def progress(self) -> float:
         return self.budget.progress(self.count)
-
-
-def evaluate(decoder: Decoder, keys: np.ndarray, tally: EvalTally | None = None) -> Fitness:
-    """Decode a key vector, counting the call in `tally`."""
-    if len(keys) != decoder.dimension:
-        raise DimensionError(
-            f"vector of length {len(keys)} for decoder of dimension {decoder.dimension}"
-        )
-    if tally is not None:
-        tally.tick()
-    fit, _ = decoder.decode(keys)
-    return fit
 
 
 class TimeBudget:

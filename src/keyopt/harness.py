@@ -243,13 +243,17 @@ def read_results(path):
 
 
 def read_bks(path) -> dict:
-    """Best-known-solution file: one "instance value" pair per line."""
+    """Best-known-solution file: one "instance value" pair per line.  A
+    value must be a finite number > 0, the baseline RPD divides by."""
     out = {}
     with open(path) as fh:
         for lineno, ln in enumerate(fh, start=1):
             ln = ln.strip()
             if ln and not ln.startswith("#"):
                 name, value = _record(path, lineno, ln, {"instance": str, "value": float})
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{path} line {lineno}: best-known value must be a "
+                                     f"finite number > 0, got {value!r}")
                 out[name] = value
     return out
 

@@ -3,25 +3,19 @@ top of four problem-independent neighborhoods (swap, Farey, mirror,
 Nelder-Mead).
 
 Every function here is a descent method: the returned vector never has a
-worse objective than the incumbent it started from.  All of them count
-their decodes on an optional run meter (EvalTally) and, when it carries a
-budget, poll it every BUDGET_CHECK_EVERY decodes, returning the incumbent
-on expiry.
+worse objective than the incumbent it started from.  All of them decode
+through the run's meter.  When the meter carries a budget, swap, Farey and
+mirror poll it every BUDGET_CHECK_EVERY decodes and Nelder-Mead every
+BUDGET_CHECK_EVERY simplex iterations, so a poll can cut Nelder-Mead short
+only on vectors of 473 keys or more; RVND checks it before each
+neighborhood.  A search that finds the budget spent returns its incumbent.
 """
 
 import math
 
 import numpy as np
 
-from .core import (
-    Decoder,
-    DimensionError,
-    EvalTally,
-    Fitness,
-    RngStream,
-    evaluate,
-    mirror_key,
-)
+from .core import DimensionError, Fitness, Meter, RngStream, mirror_key
 from .variation import BlendParams, blend
 
 # Ordered fractions of the order-7 Farey sequence; the 18 gaps between
@@ -50,29 +44,30 @@ def draw_in_interval(rng: RngStream, lo: float, hi: float) -> float:
 
 
 class BudgetTicker:
-    """Counts candidate evaluations on a run meter and polls its budget
-    every BUDGET_CHECK_EVERY of them; `fired` records a poll that found the
+    """Polls a run meter's budget on every BUDGET_CHECK_EVERY-th call of
+    `out_of_time`: per decode in the swap, Farey and mirror scans, per
+    simplex iteration in Nelder-Mead.  `fired` records a poll that found the
     budget spent."""
 
-    def __init__(self, tally: EvalTally | None):
-        self.tally = tally if tally is not None else EvalTally()
+    def __init__(self, meter: Meter):
+        self.meter = meter
         self._since_check = 0
         self.fired = False
 
     def out_of_time(self) -> bool:
-        if self.tally.budget is None:
+        if self.meter.budget is None:
             return False
         self._since_check += 1
         if self._since_check < BUDGET_CHECK_EVERY:
             return False
         self._since_check = 0
-        self.fired = self.tally.expired()
+        self.fired = self.meter.expired()
         return self.fired
 
 
-def _ensure_fitness(keys, decoder, fitness, tally):
+def _ensure_fitness(keys, meter, fitness):
     if fitness is None:
-        return evaluate(decoder, keys, tally)
+        return meter.evaluate(keys)
     return fitness
 
 
@@ -81,7 +76,7 @@ def farey_draws(rng: RngStream):
     return (draw_in_interval(rng, lo, hi) for lo, hi in FAREY_GAPS)
 
 
-def best_key_value(work: np.ndarray, idx: int, values, decoder: Decoder,
+def best_key_value(work: np.ndarray, idx: int, values,
                    ticker: BudgetTicker) -> tuple[float, Fitness]:
     """Evaluate `work` with key `idx` set to each of `values` in turn and
     return (value, fitness) of the first minimum, with `work[idx]` restored.
@@ -91,10 +86,11 @@ def best_key_value(work: np.ndarray, idx: int, values, decoder: Decoder,
     drawn after the stop.
     """
     original = work[idx]
+    evaluate = ticker.meter.evaluate
     best_v = best_fit = None
     for v in values:
         work[idx] = v
-        fit = evaluate(decoder, work, ticker.tally)
+        fit = evaluate(work)
         if best_fit is None or fit.objective < best_fit.objective:
             best_v, best_fit = work[idx], fit
         if ticker.out_of_time():
@@ -105,17 +101,16 @@ def best_key_value(work: np.ndarray, idx: int, values, decoder: Decoder,
 
 def swap_ls(
     keys: np.ndarray,
-    decoder: Decoder,
+    meter: Meter,
     rng: RngStream,
     fitness: Fitness | None = None,
-    tally: EvalTally | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """First-improvement scan over all unordered key pairs, visited in a
     freshly randomized index order; an improving swap is kept and the scan
     continues from the new incumbent."""
-    ticker = BudgetTicker(tally)
+    ticker = BudgetTicker(meter)
     best = np.array(keys, copy=True)
-    best_fit = _ensure_fitness(keys, decoder, fitness, ticker.tally)
+    best_fit = _ensure_fitness(keys, meter, fitness)
     n = len(keys)
     if n < 2:
         return best, best_fit
@@ -125,7 +120,7 @@ def swap_ls(
         for j in range(i + 1, n):
             a, b = order[i], order[j]
             work[a], work[b] = work[b], work[a]
-            fit = evaluate(decoder, work, ticker.tally)
+            fit = meter.evaluate(work)
             if fit.objective < best_fit.objective:
                 best_fit = fit
                 best = work.copy()
@@ -136,15 +131,15 @@ def swap_ls(
     return best, best_fit
 
 
-def _key_scan(keys, decoder, rng, fitness, tally, candidates):
+def _key_scan(keys, meter, rng, fitness, candidates):
     """First-improvement scan over the keys in randomized order: each key
     takes the best of its candidate values, `candidates(best, idx)`, when
     that beats the incumbent."""
-    ticker = BudgetTicker(tally)
+    ticker = BudgetTicker(meter)
     best = np.array(keys, copy=True)
-    best_fit = _ensure_fitness(keys, decoder, fitness, ticker.tally)
+    best_fit = _ensure_fitness(keys, meter, fitness)
     for idx in rng.permutation(len(keys)):
-        v, fit = best_key_value(best, idx, candidates(best, idx), decoder, ticker)
+        v, fit = best_key_value(best, idx, candidates(best, idx), ticker)
         if fit.objective < best_fit.objective:
             best[idx], best_fit = v, fit
         if ticker.fired:
@@ -154,27 +149,24 @@ def _key_scan(keys, decoder, rng, fitness, tally, candidates):
 
 def farey_ls(
     keys: np.ndarray,
-    decoder: Decoder,
+    meter: Meter,
     rng: RngStream,
     fitness: Fitness | None = None,
-    tally: EvalTally | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """For each key in randomized order, try one candidate value drawn from
     each of the 18 Farey intervals; first improvement is kept."""
-    return _key_scan(keys, decoder, rng, fitness, tally, lambda best, idx: farey_draws(rng))
+    return _key_scan(keys, meter, rng, fitness, lambda best, idx: farey_draws(rng))
 
 
 def mirror_ls(
     keys: np.ndarray,
-    decoder: Decoder,
+    meter: Meter,
     rng: RngStream,
     fitness: Fitness | None = None,
-    tally: EvalTally | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """Test the complement of each key in randomized order, first
     improvement kept."""
-    return _key_scan(keys, decoder, rng, fitness, tally,
-                     lambda best, idx: (mirror_key(best[idx]),))
+    return _key_scan(keys, meter, rng, fitness, lambda best, idx: (mirror_key(best[idx]),))
 
 
 def nelder_mead_iterations(n: int) -> int:
@@ -186,12 +178,11 @@ def nelder_mead_ls(
     keys1: np.ndarray,
     keys2: np.ndarray,
     keys3: np.ndarray,
-    decoder: Decoder,
+    meter: Meter,
     rng: RngStream,
     fits: tuple[Fitness, Fitness, Fitness] | None = None,
     rho: float = 0.5,
     mu: float = 0.02,
-    tally: EvalTally | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """Simplex search over three vertices using blending as the geometric
     operator (reflection, expansion, inside/outside contraction, shrink).
@@ -200,14 +191,15 @@ def nelder_mead_ls(
     """
     if not (len(keys1) == len(keys2) == len(keys3)):
         raise DimensionError("simplex vertices differ in length")
-    ticker = BudgetTicker(tally)
+    ticker = BudgetTicker(meter)
+    evaluate = meter.evaluate
     n = len(keys1)
     plus = BlendParams(rho=rho, mu=mu, factor=1)
     minus = BlendParams(rho=rho, mu=mu, factor=-1)
 
     simplex = [np.array(k, copy=True) for k in (keys1, keys2, keys3)]
     if fits is None:
-        fvals = [evaluate(decoder, k, ticker.tally) for k in simplex]
+        fvals = [evaluate(k) for k in simplex]
     else:
         fvals = list(fits)
     order = sorted(range(3), key=lambda i: fvals[i].objective)
@@ -218,10 +210,10 @@ def nelder_mead_ls(
     for _ in range(nelder_mead_iterations(n)):
         shrink = False
         reflected = blend(centroid, simplex[2], minus, rng)
-        f_r = evaluate(decoder, reflected, ticker.tally)
+        f_r = evaluate(reflected)
         if f_r.objective < fvals[0].objective:
             expanded = blend(reflected, centroid, minus, rng)
-            f_e = evaluate(decoder, expanded, ticker.tally)
+            f_e = evaluate(expanded)
             if f_e.objective < f_r.objective:
                 simplex[2], fvals[2] = expanded, f_e
             else:
@@ -230,14 +222,14 @@ def nelder_mead_ls(
             simplex[2], fvals[2] = reflected, f_r
         elif f_r.objective < fvals[2].objective:
             contracted = blend(reflected, centroid, plus, rng)
-            f_c = evaluate(decoder, contracted, ticker.tally)
+            f_c = evaluate(contracted)
             if f_c.objective < f_r.objective:
                 simplex[2], fvals[2] = contracted, f_c
             else:
                 shrink = True
         else:
             contracted = blend(centroid, simplex[2], plus, rng)
-            f_c = evaluate(decoder, contracted, ticker.tally)
+            f_c = evaluate(contracted)
             if f_c.objective < fvals[2].objective:
                 simplex[2], fvals[2] = contracted, f_c
             else:
@@ -245,7 +237,7 @@ def nelder_mead_ls(
         if shrink:
             for i in (1, 2):
                 simplex[i] = blend(simplex[0], simplex[i], plus, rng)
-                fvals[i] = evaluate(decoder, simplex[i], ticker.tally)
+                fvals[i] = evaluate(simplex[i])
         order = sorted(range(3), key=lambda i: fvals[i].objective)
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
@@ -257,11 +249,10 @@ def nelder_mead_ls(
 
 def rvnd(
     keys: np.ndarray,
-    decoder: Decoder,
+    meter: Meter,
     pool,
     rng: RngStream,
     fitness: Fitness | None = None,
-    tally: EvalTally | None = None,
 ) -> tuple[np.ndarray, Fitness]:
     """Randomized variable neighborhood descent.
 
@@ -271,9 +262,8 @@ def rvnd(
     partners, so it joins the list only when the pool holds at least two
     entries.
     """
-    tally = tally if tally is not None else EvalTally()
     best = np.array(keys, copy=True)
-    best_fit = _ensure_fitness(keys, decoder, fitness, tally)
+    best_fit = _ensure_fitness(keys, meter, fitness)
 
     def full_list():
         # Looked up on each call, so a replaced module global takes effect.
@@ -284,17 +274,15 @@ def rvnd(
 
     active = full_list()
     while active:
-        if tally.expired():
+        if meter.expired():
             break
         search = active[rng.integers(0, len(active))]
         if search is nelder_mead_ls:
             k2, f2 = pool.sample(rng)
             k3, f3 = pool.sample(rng)
-            cand, cand_fit = search(
-                best, k2, k3, decoder, rng, (best_fit, f2, f3), tally=tally,
-            )
+            cand, cand_fit = search(best, k2, k3, meter, rng, (best_fit, f2, f3))
         else:
-            cand, cand_fit = search(best, decoder, rng, best_fit, tally)
+            cand, cand_fit = search(best, meter, rng, best_fit)
         if cand_fit.objective < best_fit.objective:
             best, best_fit = cand, cand_fit
             active = full_list()

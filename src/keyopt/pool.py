@@ -11,7 +11,7 @@ import bisect
 
 import numpy as np
 
-from .core import Decoder, EvalTally, Fitness, RngStream, TimeBudget, evaluate, random_vector
+from .core import Decoder, Fitness, Meter, RngStream, TimeBudget, random_vector
 from .local_search import farey_ls
 from .variation import ShakeParams, shake
 
@@ -106,22 +106,22 @@ def init_pool(
     with a full pool.
     """
     pool = ElitePool(capacity)
-    tally = EvalTally(budget)
+    meter = Meter(decoder, budget)
     for _ in range(capacity):
-        keys = random_vector(decoder.dimension, rng)
-        fit = evaluate(decoder, keys, tally)
-        keys, fit = farey_ls(keys, decoder, rng, fit, tally)
+        keys = random_vector(meter.dimension, rng)
+        fit = meter.evaluate(keys)
+        keys, fit = farey_ls(keys, meter, rng, fit)
         if pool.offer(keys, fit):
             continue
         placed = False
         for _ in range(INIT_SHAKE_ATTEMPTS):
             cand = shake(keys, INIT_SHAKE_RANGE, rng)
-            cand_fit = evaluate(decoder, cand, tally)
+            cand_fit = meter.evaluate(cand)
             if pool.offer(cand, cand_fit):
                 placed = True
                 break
         if not placed:
-            cand = random_vector(decoder.dimension, rng)
-            cand_fit = evaluate(decoder, cand, tally)
+            cand = random_vector(meter.dimension, rng)
+            cand_fit = meter.evaluate(cand)
             pool.insert_unchecked(cand, cand_fit)
     return pool

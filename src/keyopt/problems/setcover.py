@@ -36,8 +36,8 @@ class SetCoverDecoder(Decoder):
         m, n = self.instance.m, self.instance.n
         selected = np.asarray(keys) >= 0.5
 
-        # counts[i] = how many selected columns cover row i, maintained
-        # incrementally through all three phases.
+        # counts[i] = how many selected columns cover row i, updated in
+        # place through all three phases.
         counts = ai @ selected
         # Greedy repair: repeatedly add the smallest-index column covering
         # the most still-uncovered rows.

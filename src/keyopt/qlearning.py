@@ -151,10 +151,9 @@ class QController:
     is the consumed fraction of the run budget.
     """
 
-    def __init__(self, grid: ParameterGrid, rng: RngStream, df: float = DISCOUNT):
+    def __init__(self, grid: ParameterGrid, rng: RngStream):
         self.grid = grid
         self.rng = rng
-        self.df = df
         self.qtable: dict = {}
         self.state: State = grid.initial
         self._pending: tuple[State, Action, State] | None = None
@@ -183,7 +182,7 @@ class QController:
         state, action, nxt = self._pending
         r = reward(f_prev_best, f_new_best)
         lf = learning_factor(min(max(progress, 0.0), 1.0))
-        update_q(self.qtable, state, action, r, nxt, lf, self.df, self.grid)
+        update_q(self.qtable, state, action, r, nxt, lf, DISCOUNT, self.grid)
         self.state = nxt
         self._pending = None
 

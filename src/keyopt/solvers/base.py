@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import Decoder, EvalTally, Fitness, TimeBudget, evaluate, random_vector
+from ..core import Fitness, Meter, random_vector
 from ..pool import ElitePool
 from ..qlearning import QController
 from .params import with_overrides
@@ -37,8 +37,8 @@ class RunResult:
 
 
 class SolverRun:
-    """One driver run: its meter (the evaluation tally spent against the
-    run's budget), its best-so-far with the pool offers, and its parameter
+    """One driver run: its meter (the decoder calls spent against the run's
+    budget), its best-so-far with the pool offers, and its parameter
     controller.
 
     Every strict improvement of the best is appended to the trace,
@@ -49,12 +49,11 @@ class SolverRun:
     of the best objective when the step ends.
     """
 
-    def __init__(self, decoder: Decoder, params, pool: ElitePool | None, budget: TimeBudget,
+    def __init__(self, meter: Meter, params, pool: ElitePool | None,
                  controller: QController | None = None):
-        self.decoder = decoder
+        self.meter = meter
         self.params = params
         self.pool = pool
-        self.tally = EvalTally(budget)
         self.controller = controller
         self.best_keys: np.ndarray | None = None
         self.best_fitness: Fitness | None = None
@@ -72,7 +71,7 @@ class SolverRun:
             return False
         self.best_keys = np.array(keys, copy=True)
         self.best_fitness = fitness
-        self.time_to_best = self.tally.elapsed()
+        self.time_to_best = self.meter.elapsed()
         self.trace.append((self.time_to_best, fitness.objective))
         if self.pool is not None:
             self.pool.offer(keys, fitness)
@@ -80,13 +79,13 @@ class SolverRun:
 
     def evaluate(self, keys: np.ndarray) -> Fitness:
         """Decode `keys`, counting the call, and consider them for the best."""
-        fit = evaluate(self.decoder, keys, self.tally)
+        fit = self.meter.evaluate(keys)
         self.consider(keys, fit)
         return fit
 
     def random_member(self, rng) -> tuple[np.ndarray, Fitness]:
         """A fresh random vector and its (evaluated) fitness."""
-        keys = random_vector(self.decoder.dimension, rng)
+        keys = random_vector(self.meter.dimension, rng)
         return keys, self.evaluate(keys)
 
     def keep(self, keys: np.ndarray, fit: Fitness) -> tuple[np.ndarray, Fitness]:
@@ -96,7 +95,7 @@ class SolverRun:
         return keys, fit
 
     def expired(self) -> bool:
-        return self.tally.expired()
+        return self.meter.expired()
 
     def iterations(self):
         """Parameter records, one per outer iteration, until the budget
@@ -104,14 +103,14 @@ class SolverRun:
         evaluation-only budget it would repeat forever."""
         while not self.expired():
             prev_best = self.best_objective
-            evals_before = self.tally.count
+            evals_before = self.meter.count
             params = self.params
             if self.controller is not None:
-                params = with_overrides(params, self.controller.select(self.tally.progress()))
+                params = with_overrides(params, self.controller.select(self.meter.progress()))
             yield params
             if self.controller is not None:
-                self.controller.observe(prev_best, self.best_objective, self.tally.progress())
-            if self.tally.count == evals_before:
+                self.controller.observe(prev_best, self.best_objective, self.meter.progress())
+            if self.meter.count == evals_before:
                 return
 
     def result(self, solver: str) -> RunResult:
@@ -122,7 +121,7 @@ class SolverRun:
             best_keys=self.best_keys,
             best_fitness=self.best_fitness,
             time_to_best=self.time_to_best,
-            evaluations=self.tally.count,
+            evaluations=self.meter.count,
             trace=list(self.trace),
         )
 

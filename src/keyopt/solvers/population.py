@@ -4,7 +4,7 @@ optimization."""
 
 import numpy as np
 
-from ..core import Decoder, RngStream, TimeBudget, clamp_keys
+from ..core import Meter, RngStream, clamp_keys
 from ..local_search import rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
@@ -52,17 +52,16 @@ def _resize_population(run: SolverRun, pop, fits, target, rng):
 
 
 def run_brkga(
-    decoder: Decoder,
+    meter: Meter,
     params,
     pool: ElitePool | None,
     rng: RngStream,
-    budget: TimeBudget,
     controller: QController | None = None,
 ) -> RunResult:
     """Generational loop copying the elite block, injecting mutants, and
     filling the rest with elite-biased uniform crossover; every new
     generation best is intensified with RVND."""
-    run = SolverRun(decoder, params, pool, budget, controller)
+    run = SolverRun(meter, params, pool, controller)
     pop, fits = _init_population(run, params.p, rng)
     pop, fits = _sorted_population(pop, fits)
 
@@ -94,8 +93,7 @@ def run_brkga(
 
         if run.best_objective < prev_best:
             improved, improved_fit = run.keep(*rvnd(
-                run.best_keys, decoder, pool, rng, run.best_fitness, run.tally
-            ))
+                run.best_keys, meter, pool, rng, run.best_fitness))
             pop[-1] = improved
             fits[-1] = improved_fit
             pop, fits = _sorted_population(pop, fits)
@@ -110,16 +108,15 @@ def _tournament(fits, rng: RngStream) -> int:
 
 
 def run_ga(
-    decoder: Decoder,
+    meter: Meter,
     params,
     pool: ElitePool | None,
     rng: RngStream,
-    budget: TimeBudget,
     controller: QController | None = None,
 ) -> RunResult:
     """Tournament selection, blending crossover with probability pc (parents
     are copied otherwise), elitism, and RVND on each generation's best."""
-    run = SolverRun(decoder, params, pool, budget, controller)
+    run = SolverRun(meter, params, pool, controller)
     pop, fits = _init_population(run, params.p, rng)
 
     for p in run.iterations():
@@ -150,8 +147,7 @@ def run_ga(
 
         best_idx = min(range(len(new_pop)), key=lambda i: new_fits[i].objective)
         improved, improved_fit = run.keep(*rvnd(
-            new_pop[best_idx], decoder, pool, rng, new_fits[best_idx], run.tally
-        ))
+            new_pop[best_idx], meter, pool, rng, new_fits[best_idx]))
         if improved_fit.objective < new_fits[best_idx].objective:
             worst_idx = max(range(len(new_pop)), key=lambda i: new_fits[i].objective)
             new_pop[worst_idx] = improved
@@ -167,18 +163,17 @@ def pso_move(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
 
 
 def run_pso(
-    decoder: Decoder,
+    meter: Meter,
     params,
     pool: ElitePool | None,
     rng: RngStream,
-    budget: TimeBudget,
     controller: QController | None = None,
 ) -> RunResult:
     """Velocity-driven swarm over the key hypercube; one uniformly random
     particle per generation is polished with RVND."""
-    run = SolverRun(decoder, params, pool, budget, controller)
+    run = SolverRun(meter, params, pool, controller)
     pos, fits = _init_population(run, params.p, rng)
-    vel = [np.zeros(decoder.dimension) for _ in pos]
+    vel = [np.zeros(meter.dimension) for _ in pos]
     p_best = [k.copy() for k in pos]
     p_best_fit = list(fits)
     g_idx = min(range(len(pos)), key=lambda i: fits[i].objective)
@@ -190,7 +185,7 @@ def run_pso(
             # Unsorted, so truncation keeps particle order.
             kept = min(p.p, len(pos))
             pos, fits = _resize_population(run, pos, fits, p.p, rng)
-            vel = vel[:kept] + [np.zeros(decoder.dimension) for _ in pos[kept:]]
+            vel = vel[:kept] + [np.zeros(meter.dimension) for _ in pos[kept:]]
             p_best = p_best[:kept] + [k.copy() for k in pos[kept:]]
             p_best_fit = p_best_fit[:kept] + fits[kept:]
 
@@ -215,7 +210,7 @@ def run_pso(
 
         j = rng.integers(0, len(pos))
         polished, polished_fit = run.keep(
-            *rvnd(pos[j], decoder, pool, rng, fits[j], run.tally))
+            *rvnd(pos[j], meter, pool, rng, fits[j]))
         if polished_fit.objective < fits[j].objective:
             pos[j] = polished
             fits[j] = polished_fit

@@ -15,7 +15,7 @@ run of many members is as bit-reproducible as a run of one.
 import threading
 from dataclasses import dataclass, field
 
-from ..core import Decoder, RngStream, TimeBudget
+from ..core import Decoder, Meter, RngStream, TimeBudget
 from ..pool import DEFAULT_CAPACITY, ElitePool, init_pool
 from ..qlearning import QController
 from .base import RunResult
@@ -56,32 +56,28 @@ def _merged_trace(results):
     return merged
 
 
-class _Member(Decoder):
-    """One member's view of the decoder, and its place in the rotation.
+class _Member(Meter):
+    """One member's meter, and its place in the rotation.
 
-    Before every call past the first TURN_CALLS of a turn, the member hands
-    the turn to the next running member and waits at its own gate, so a
-    handoff wakes only the member that gets the turn.  `running` holds the
-    members still in the rotation, in member order; only the turn holder
-    reads or changes it.
+    Before each decoder call that would start a new block of TURN_CALLS,
+    the member hands the turn to the next running member and waits at its
+    own gate, so a handoff wakes only the member that gets the turn.
+    `running` holds the members still in the rotation, in member order;
+    only the turn holder reads or changes it.
     """
 
-    def __init__(self, decoder: Decoder, running: list):
-        self.dimension = decoder.dimension
-        self._decode = decoder.decode
+    def __init__(self, decoder: Decoder, budget: TimeBudget, running: list):
+        super().__init__(decoder, budget)
         self.running = running
         self.gate = threading.Semaphore(0)
-        self._calls = 0
 
-    def decode(self, keys):
-        if self._calls == TURN_CALLS:
+    def evaluate(self, keys):
+        if self.count and self.count % TURN_CALLS == 0:
             nxt = self._next()
             if nxt is not self:
                 nxt.gate.release()
                 self.gate.acquire()
-            self._calls = 0
-        self._calls += 1
-        return self._decode(keys)
+        return super().evaluate(keys)
 
     def leave(self) -> None:
         """Leave the rotation, handing the turn on."""
@@ -136,16 +132,14 @@ def run_portfolio(
         rng = RngStream(seed, index + 1)
         params = params_by_method[name]
         controller = QController(control_grid(name, params), rng) if q_control else None
-        member = _Member(decoder, running)
+        member = _Member(decoder, budget, running)
         running.append(member)
 
         def play():
             if index:  # every member but the first waits for its first turn
                 member.gate.acquire()
             try:
-                results[name] = SOLVERS[name](
-                    member, params, pool, rng, budget, controller=controller,
-                )
+                results[name] = SOLVERS[name](member, params, pool, rng, controller=controller)
             except Exception as exc:  # noqa: BLE001 - reported once all have ended
                 if len(methods) == 1:
                     raise

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..core import Decoder, EvalTally, RngStream, TimeBudget, evaluate
+from ..core import Meter, RngStream
 from ..local_search import BudgetTicker, best_key_value, farey_draws, rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
@@ -27,16 +27,15 @@ def _shake_range(beta_min: float, beta_max: float) -> ShakeParams:
 
 
 def run_sa(
-    decoder: Decoder,
+    meter: Meter,
     params,
     pool: ElitePool | None,
     rng: RngStream,
-    budget: TimeBudget,
     controller: QController | None = None,
 ) -> RunResult:
     """Metropolis sampling over shaken neighbors with geometric cooling; the
     incumbent is polished by RVND before every temperature drop."""
-    run = SolverRun(decoder, params, pool, budget, controller)
+    run = SolverRun(meter, params, pool, controller)
     keys, fit = run.random_member(rng)
 
     temp = params.t0
@@ -49,51 +48,49 @@ def run_sa(
             cand_fit = run.evaluate(cand)
             if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
                 keys, fit = cand, cand_fit
-        keys, fit = run.keep(*rvnd(keys, decoder, pool, rng, fit, run.tally))
+        keys, fit = run.keep(*rvnd(keys, meter, pool, rng, fit))
         temp = cooled(temp, p)
     return run.result("sa")
 
 
 def run_ils(
-    decoder: Decoder,
+    meter: Meter,
     params,
     pool: ElitePool | None,
     rng: RngStream,
-    budget: TimeBudget,
     controller: QController | None = None,
 ) -> RunResult:
     """Shake the best-so-far, descend with RVND, keep the result when it
     improves."""
-    run = SolverRun(decoder, params, pool, budget, controller)
+    run = SolverRun(meter, params, pool, controller)
     incumbent, fit = run.random_member(rng)
 
     for p in run.iterations():
         cand = shake(incumbent, _shake_range(p.beta_min, p.beta_max), rng)
-        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, None, run.tally))
+        cand, cand_fit = run.keep(*rvnd(cand, meter, pool, rng))
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
     return run.result("ils")
 
 
 def run_vns(
-    decoder: Decoder,
+    meter: Meter,
     params,
     pool: ElitePool | None,
     rng: RngStream,
-    budget: TimeBudget,
     controller: QController | None = None,
 ) -> RunResult:
     """Shaking intensity grows with the neighborhood index k (rate k *
     beta_min); improvement resets k to 1, failure advances it, and k wraps
     after k_max."""
-    run = SolverRun(decoder, params, pool, budget, controller)
+    run = SolverRun(meter, params, pool, controller)
     incumbent, fit = run.random_member(rng)
 
     k = 1
     for p in run.iterations():
         beta = min(1.0, k * p.beta_min)
         cand = shake(incumbent, ShakeParams(beta, beta), rng)
-        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, None, run.tally))
+        cand, cand_fit = run.keep(*rvnd(cand, meter, pool, rng))
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
             k = 1
@@ -114,24 +111,24 @@ def _grid_draws(spacing, rng):
             yield rng.uniform(lo, hi)
 
 
-def _construct(incumbent, spacing, gamma, decoder, rng, tally):
+def _construct(incumbent, spacing, gamma, meter, rng):
     """Semi-greedy construction: line-search every unfixed key, fix a random
     member of the restricted candidate list at its best value, repeat.
 
     Returns (None, None) when the budget expires before construction ends.
     """
-    ticker = BudgetTicker(tally)
+    ticker = BudgetTicker(meter)
     work = incumbent.copy()
     unfixed = list(range(len(work)))
     fit = None
     while unfixed:
-        if ticker.tally.expired():
+        if meter.expired():
             return None, None
         values = {}
         fits = {}
         for i in unfixed:
             values[i], fits[i] = best_key_value(
-                work, i, _grid_draws(spacing, rng), decoder, ticker)
+                work, i, _grid_draws(spacing, rng), ticker)
         objs = [fits[i].objective for i in unfixed]
         g_best, g_worst = min(objs), max(objs)
         threshold = g_best + gamma * (g_worst - g_best)
@@ -144,11 +141,10 @@ def _construct(incumbent, spacing, gamma, decoder, rng, tally):
 
 
 def run_grasp(
-    decoder: Decoder,
+    meter: Meter,
     params,
     pool: ElitePool | None,
     rng: RngStream,
-    budget: TimeBudget,
     controller: QController | None = None,
 ) -> RunResult:
     """Semi-greedy construction over a shrinking grid followed by RVND, with
@@ -157,17 +153,17 @@ def run_grasp(
     The grid spacing starts at hs, halves after every non-improving
     iteration, and resets to hs once it would pass he.
     """
-    run = SolverRun(decoder, params, pool, budget, controller)
+    run = SolverRun(meter, params, pool, controller)
     incumbent, fit = run.random_member(rng)
 
     spacing = params.hs
     temp = params.t0
     for p in run.iterations():
         gamma = rng.random()
-        cand, cand_fit = _construct(incumbent, spacing, gamma, decoder, rng, run.tally)
+        cand, cand_fit = _construct(incumbent, spacing, gamma, meter, rng)
         if cand is None:
             break
-        cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, cand_fit, run.tally))
+        cand, cand_fit = run.keep(*rvnd(cand, meter, pool, rng, cand_fit))
         improved = cand_fit.objective < fit.objective
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             incumbent, fit = cand, cand_fit
@@ -182,47 +178,45 @@ def run_grasp(
 def lns_repair(
     keys: np.ndarray,
     removed: np.ndarray,
-    decoder: Decoder,
+    meter: Meter,
     rng: RngStream,
     fitness=None,
-    tally: EvalTally | None = None,
 ):
     """Rebuild the removed keys one at a time in random order, giving each
     the best of one draw per Farey interval."""
-    ticker = BudgetTicker(tally)
+    ticker = BudgetTicker(meter)
     work = np.array(keys, copy=True)
-    fit = fitness if fitness is not None else evaluate(decoder, work, ticker.tally)
+    fit = fitness if fitness is not None else meter.evaluate(work)
     for idx in rng.gen.permutation(np.asarray(removed)):
-        work[idx], fit = best_key_value(work, idx, farey_draws(rng), decoder, ticker)
+        work[idx], fit = best_key_value(work, idx, farey_draws(rng), ticker)
         if ticker.fired:
             break
     return work, fit
 
 
 def run_lns(
-    decoder: Decoder,
+    meter: Meter,
     params,
     pool: ElitePool | None,
     rng: RngStream,
-    budget: TimeBudget,
     controller: QController | None = None,
 ) -> RunResult:
     """Destroy a random share of the keys, repair them Farey-greedily,
     accept by the Metropolis rule, and polish every new global best with
     RVND."""
-    run = SolverRun(decoder, params, pool, budget, controller)
+    run = SolverRun(meter, params, pool, controller)
     keys, fit = run.random_member(rng)
 
-    n = decoder.dimension
+    n = meter.dimension
     temp = params.t0
     for p in run.iterations():
         lo, hi = sorted((p.beta_min, p.beta_max))
         beta = rng.uniform(lo, hi) if hi > lo else lo
         count = min(n, max(1, math.ceil(beta * n)))
         removed = rng.choice(n, size=count, replace=False)
-        cand, cand_fit = lns_repair(keys, removed, decoder, rng, fit, run.tally)
+        cand, cand_fit = lns_repair(keys, removed, meter, rng, fit)
         if run.consider(cand, cand_fit):
-            cand, cand_fit = run.keep(*rvnd(cand, decoder, pool, rng, cand_fit, run.tally))
+            cand, cand_fit = run.keep(*rvnd(cand, meter, pool, rng, cand_fit))
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             keys, fit = cand, cand_fit
         temp = cooled(temp, p)

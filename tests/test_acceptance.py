@@ -10,7 +10,7 @@ import pytest
 
 import instgen
 from keyopt.cli import main
-from keyopt.core import Fitness, RngStream, TimeBudget, random_vector
+from keyopt.core import Fitness, Meter, RngStream, TimeBudget, random_vector
 from keyopt.local_search import (
     FAREY_ORDER7,
     farey_ls,
@@ -114,23 +114,24 @@ def test_criterion_03_descent_suite(tiny_decoders):
     runs_per_decoder = 1000
     for name, decoder in tiny_decoders.items():
         pool = init_pool(5, decoder, RngStream(1000, 0))
+        meter = Meter(decoder)
         rng = RngStream(1000, 1)
         for _ in range(runs_per_decoder):
             keys = random_vector(decoder.dimension, rng)
             base = decoder.decode(keys)[0]
 
             for search in (swap_ls, farey_ls, mirror_ls):
-                _, fit = search(keys, decoder, rng, fitness=base)
+                _, fit = search(keys, meter, rng, fitness=base)
                 if fit.objective > base.objective:
                     violations += 1
 
             k2, f2 = pool.sample(rng)
             k3, f3 = pool.sample(rng)
-            _, fit = nelder_mead_ls(keys, k2, k3, decoder, rng, (base, f2, f3))
+            _, fit = nelder_mead_ls(keys, k2, k3, meter, rng, (base, f2, f3))
             if fit.objective > min(base.objective, f2.objective, f3.objective):
                 violations += 1
 
-            _, fit = rvnd(keys, decoder, pool, rng, fitness=base)
+            _, fit = rvnd(keys, meter, pool, rng, fitness=base)
             if fit.objective > base.objective:
                 violations += 1
     elapsed = time.perf_counter() - start
@@ -180,7 +181,7 @@ def test_criterion_04_operator_closure_fuzz():
         assert in_range(pso_move(pos, vel))
         checked += 1
 
-    flat = _FlatDecoder(8)
+    flat = Meter(_FlatDecoder(8))
     for _ in range(10000):
         keys = random_vector(8, rng)
         count = rng.integers(1, 9)
@@ -434,7 +435,7 @@ def test_criterion_11_portfolio_dominance(acceptance_instances):
                 budget = TimeBudget(seconds=2.0)
                 pool = init_pool(20, decoder, RngStream(seed, 0), budget=budget)
                 solo = SOLVERS[name](
-                    decoder, params[name], pool, RngStream(seed, 1), budget,
+                    Meter(decoder, budget), params[name], pool, RngStream(seed, 1),
                 )
                 assert close_enough(portfolio_best, solo.best_fitness.objective), (
                     f"{problem}[{idx}] {name}: portfolio {portfolio_best} "

@@ -3,13 +3,12 @@ import pytest
 
 from keyopt.core import (
     DimensionError,
-    EvalTally,
     Fitness,
     KEY_MAX,
+    Meter,
     RngStream,
     TimeBudget,
     clamp_keys,
-    evaluate,
     mirror_key,
     random_vector,
 )
@@ -85,49 +84,49 @@ def test_evaluate_example_tour_cost():
     )
     decoder = TspDecoder(TspInstance(dist))
     keys = np.array([0.085, 0.277, 0.149, 0.332, 0.148])
-    tally = EvalTally()
-    fit = evaluate(decoder, keys, tally)
+    meter = Meter(decoder)
+    fit = meter.evaluate(keys)
     tour = [0, 4, 2, 1, 3]  # 1-based (1, 5, 3, 2, 4)
     expected = sum(dist[tour[i], tour[(i + 1) % 5]] for i in range(5))
     assert fit.objective == expected
-    assert tally.count == 1
+    assert meter.count == 1
 
 
 def test_evaluate_constant_decoder_and_tally():
-    decoder = ConstantDecoder(4, value=0.0)
-    tally = EvalTally()
+    meter = Meter(ConstantDecoder(4, value=0.0))
     keys = random_vector(4, RngStream(0, 0))
-    fit = evaluate(decoder, keys, tally)
+    fit = meter.evaluate(keys)
     assert fit == Fitness.of(0.0)
     for _ in range(99):
-        evaluate(decoder, keys, tally)
-    assert tally.count == 100
+        meter.evaluate(keys)
+    assert meter.count == 100
 
 
 def test_tally_without_budget_never_expires():
-    tally = EvalTally()
+    meter = Meter(ConstantDecoder(4))
     for _ in range(1000):
-        tally.tick()
-    assert tally.budget is None and not tally.expired()
+        meter.evaluate(np.zeros(4))
+    assert meter.budget is None and not meter.expired()
 
 
 def test_tally_reads_its_budget_at_its_own_count():
     budget = TimeBudget(max_evals=40)
-    tally = EvalTally(budget)
+    meter = Meter(ConstantDecoder(4), budget)
     for _ in range(10):
-        tally.tick()
-    assert tally.elapsed() == budget.elapsed(10) == 10.0
-    assert tally.progress() == budget.progress(10) == 0.25
-    assert not tally.expired()
+        meter.evaluate(np.zeros(4))
+    assert meter.elapsed() == budget.elapsed(10) == 10.0
+    assert meter.progress() == budget.progress(10) == 0.25
+    assert not meter.expired()
     for _ in range(30):
-        tally.tick()
-    assert tally.expired()
+        meter.evaluate(np.zeros(4))
+    assert meter.expired()
 
 
 def test_evaluate_rejects_dimension_mismatch():
-    decoder = ConstantDecoder(4)
+    meter = Meter(ConstantDecoder(4))
     with pytest.raises(DimensionError):
-        evaluate(decoder, np.zeros(5), EvalTally())
+        meter.evaluate(np.zeros(5))
+    assert meter.count == 0
 
 
 def test_decode_never_mutates_input(tiny_decoders):

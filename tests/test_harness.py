@@ -320,12 +320,17 @@ def test_cli_bench_reports_an_unreadable_bks_file_before_any_cell_runs(
     paths, _ = pmed_files
     cells = []
     monkeypatch.setattr("keyopt.harness.run_cell", lambda *a, **k: cells.append(a))
-    bad_bks = tmp_path / "bks.txt"
-    bad_bks.write_text("a.txt ten\n")
     out = tmp_path / "out"
     cfg = tmp_path / "bench.cfg"
-    for bks, fragment in ((bad_bks, "bks.txt line 1: bad value 'ten' for 'value'"),
-                          (tmp_path / "none.txt", "No such file or directory")):
+    positive = "bks.txt line 1: best-known value must be a finite number > 0, got "
+    for text, fragment in (("a.txt ten", "bks.txt line 1: bad value 'ten' for 'value'"),
+                           ("a.txt 0", positive + "0.0"),
+                           ("a.txt -5", positive + "-5.0"),
+                           ("a.txt nan", positive + "nan"),
+                           (None, "No such file or directory")):
+        bks = tmp_path / ("bks.txt" if text else "none.txt")
+        if text:
+            bks.write_text(text + "\n")
         cfg.write_text(f"problem = pmedian\ninstance = {paths[0]}\nmethods = sa\n"
                        f"runs = 1\nmax_evals = 50\noutput_dir = {out}\nbks = {bks}\n")
         _one_line_error(main(["bench", "--config", str(cfg)]), capsys, fragment)

@@ -6,7 +6,7 @@ import pytest
 import instgen
 import keyopt.local_search as local_search
 import keyopt.solvers.trajectory as trajectory
-from keyopt.core import EvalTally, Fitness, RngStream, TimeBudget, random_vector
+from keyopt.core import Fitness, Meter, RngStream, TimeBudget, random_vector
 from keyopt.local_search import (
     BUDGET_CHECK_EVERY,
     FAREY_ORDER7,
@@ -94,14 +94,14 @@ def test_draw_in_interval_is_strictly_inside():
 def test_swap_ls_single_key_is_identity():
     rng = RngStream(2, 0)
     keys = np.array([0.4])
-    out, _ = swap_ls(keys, ConstantDecoder(1), rng)
+    out, _ = swap_ls(keys, Meter(ConstantDecoder(1)), rng)
     assert np.array_equal(out, keys)
 
 
 def test_swap_ls_identical_keys_unchanged(tiny_decoders):
     decoder = tiny_decoders["tsp"]
     keys = np.full(decoder.dimension, 0.5)
-    out, _ = swap_ls(keys, decoder, RngStream(3, 0))
+    out, _ = swap_ls(keys, Meter(decoder), RngStream(3, 0))
     assert np.array_equal(out, keys)
 
 
@@ -110,14 +110,14 @@ def test_swap_ls_descends_from_example_tour():
     decoder = TspDecoder(TspInstance(dist))
     keys = np.array([0.085, 0.277, 0.149, 0.332, 0.148])
     start_cost = decoder.decode(keys)[0].objective
-    out, fit = swap_ls(keys, decoder, RngStream(4, 0))
+    out, fit = swap_ls(keys, Meter(decoder), RngStream(4, 0))
     assert fit.objective <= start_cost
 
 
 def test_farey_ls_constant_decoder_returns_input():
     rng = RngStream(5, 0)
     keys = random_vector(6, rng)
-    out, _ = farey_ls(keys, ConstantDecoder(6), rng)
+    out, _ = farey_ls(keys, Meter(ConstantDecoder(6)), rng)
     assert np.array_equal(out, keys)
 
 
@@ -128,9 +128,9 @@ def test_farey_ls_candidate_count_and_intervals():
     decoder = RecordingDecoder(n)
     rng = RngStream(6, 0)
     keys = random_vector(n, rng)
-    tally = EvalTally()
-    farey_ls(keys, decoder, rng, fitness=Fitness.of(0.0), tally=tally)
-    assert tally.count == 18 * n
+    meter = Meter(decoder)
+    farey_ls(keys, meter, rng, fitness=Fitness.of(0.0))
+    assert meter.count == 18 * n
     assert len(decoder.seen) == 18 * n
     for i, candidate_vec in enumerate(decoder.seen):
         changed = np.flatnonzero(candidate_vec != keys)
@@ -143,7 +143,7 @@ def test_farey_ls_candidate_count_and_intervals():
 def test_mirror_ls_symmetric_decoder_returns_input():
     rng = RngStream(7, 0)
     keys = 0.1 + 0.8 * random_vector(8, rng)
-    out, _ = mirror_ls(keys, FoldSymmetricDecoder(8), rng)
+    out, _ = mirror_ls(keys, Meter(FoldSymmetricDecoder(8)), rng)
     assert np.array_equal(out, keys)
 
 
@@ -151,9 +151,9 @@ def test_mirror_ls_eval_count_without_improvement():
     n = 9
     rng = RngStream(8, 0)
     keys = random_vector(n, rng)
-    tally = EvalTally()
-    mirror_ls(keys, ConstantDecoder(n), rng, fitness=Fitness.of(0.0), tally=tally)
-    assert tally.count == n
+    meter = Meter(ConstantDecoder(n))
+    mirror_ls(keys, meter, rng, fitness=Fitness.of(0.0))
+    assert meter.count == n
 
 
 def test_mirror_ls_descends(tiny_decoders):
@@ -162,7 +162,7 @@ def test_mirror_ls_descends(tiny_decoders):
     for _ in range(50):
         keys = random_vector(decoder.dimension, rng)
         start = decoder.decode(keys)[0].objective
-        _, fit = mirror_ls(keys, decoder, rng)
+        _, fit = mirror_ls(keys, Meter(decoder), rng)
         assert fit.objective <= start
 
 
@@ -175,7 +175,7 @@ def test_nelder_mead_degenerate_simplex_is_identity():
     rng = RngStream(10, 0)
     keys = random_vector(7, rng)
     out, _ = nelder_mead_ls(
-        keys, keys.copy(), keys.copy(), ConstantDecoder(7), rng, mu=0.0
+        keys, keys.copy(), keys.copy(), Meter(ConstantDecoder(7)), rng, mu=0.0
     )
     assert np.array_equal(out, keys)
 
@@ -186,16 +186,15 @@ def test_nelder_mead_returns_best_vertex(tiny_decoders):
     for _ in range(500):
         triple = [random_vector(decoder.dimension, rng) for _ in range(3)]
         fits = [decoder.decode(k)[0] for k in triple]
-        out, fit = nelder_mead_ls(triple[0], triple[1], triple[2], decoder, rng)
+        out, fit = nelder_mead_ls(triple[0], triple[1], triple[2], Meter(decoder), rng)
         assert fit.objective <= min(f.objective for f in fits)
         assert np.all(out >= 0.0) and np.all(out < 1.0)
 
 
 def test_rvnd_constant_decoder_fixed_point():
     rng = RngStream(12, 0)
-    decoder = ConstantDecoder(6)
     keys = random_vector(6, rng)
-    out, _ = rvnd(keys, decoder, None, rng)
+    out, _ = rvnd(keys, Meter(ConstantDecoder(6)), None, rng)
     assert np.array_equal(out, keys)
 
 
@@ -206,7 +205,7 @@ def test_rvnd_descends(tiny_decoders):
     for _ in range(50):
         keys = random_vector(decoder.dimension, rng)
         start = decoder.decode(keys)[0].objective
-        out, fit = rvnd(keys, decoder, pool, rng)
+        out, fit = rvnd(keys, Meter(decoder), pool, rng)
         assert fit.objective <= start
         assert np.all(out >= 0.0) and np.all(out < 1.0)
 
@@ -222,54 +221,57 @@ def test_rvnd_reaches_brute_force_optimum_often():
     hits = 0
     for _ in range(50):
         keys = random_vector(decoder.dimension, rng)
-        _, fit = rvnd(keys, decoder, pool, rng)
+        _, fit = rvnd(keys, Meter(decoder), pool, rng)
         if fit.objective <= optimum + 1e-9:
             hits += 1
     assert hits >= 40
 
 
 def test_swap_ls_fixed_points_stay_fixed(tiny_decoders):
-    # Once a full scan finds no improving swap, a second scan cannot either.
-    decoder = tiny_decoders["tsp"]
+    # Scans repeat from each start until one returns its input, which ends
+    # because every changed output strictly improves; a further scan from
+    # that fixed point finds no improving swap either.
+    meter = Meter(tiny_decoders["tsp"])
     rng = RngStream(15, 0)
     checked = 0
     for _ in range(20):
-        keys = random_vector(decoder.dimension, rng)
-        out1, fit1 = swap_ls(keys, decoder, rng)
-        if np.array_equal(out1, keys):
-            out2, fit2 = swap_ls(out1, decoder, rng)
-            assert fit2.objective == fit1.objective
-            checked += 1
-    # rare landscapes may always improve; the loop must still have run
-    assert checked >= 0
+        keys = random_vector(meter.dimension, rng)
+        fixed, fit = swap_ls(keys, meter, rng)
+        while not np.array_equal(fixed, keys):
+            keys = fixed
+            fixed, fit = swap_ls(keys, meter, rng)
+        again, fit_again = swap_ls(fixed, meter, rng)
+        assert np.array_equal(again, fixed) and fit_again.objective == fit.objective
+        checked += 1
+    assert checked == 20
 
 
 def test_local_searches_respect_eval_budget(tiny_decoders):
     decoder = tiny_decoders["pmedian"]
     rng = RngStream(16, 0)
     keys = random_vector(decoder.dimension, rng)
-    tally = EvalTally(TimeBudget(max_evals=70))
-    out, fit = rvnd(keys, decoder, None, rng, tally=tally)
-    assert tally.count <= 70 + 64  # one check window of slack
+    meter = Meter(decoder, TimeBudget(max_evals=70))
+    out, fit = rvnd(keys, meter, None, rng)
+    assert meter.count <= 70 + 64  # one check window of slack
     assert fit.objective <= decoder.decode(keys)[0].objective
 
 
 def test_best_key_value_returns_first_of_tied_minima_and_restores_work():
     work = np.array([0.5, 0.1, 0.2])
-    ticker = BudgetTicker(None)
-    v, fit = best_key_value(work, 1, (0.9, 0.25, 0.75, 0.8), DistanceToHalfDecoder(3), ticker)
+    ticker = BudgetTicker(Meter(DistanceToHalfDecoder(3)))
+    v, fit = best_key_value(work, 1, (0.9, 0.25, 0.75, 0.8), ticker)
     assert v == 0.25 and fit.objective == 0.25  # 0.75 ties and comes later
     assert np.array_equal(work, [0.5, 0.1, 0.2])
-    assert ticker.tally.count == 4 and not ticker.fired
+    assert ticker.meter.count == 4 and not ticker.fired
 
 
 def test_best_key_value_stops_at_the_budget_poll_and_draws_no_more():
-    tally = EvalTally(TimeBudget(max_evals=1))
-    ticker = BudgetTicker(tally)
+    meter = Meter(ConstantDecoder(2), TimeBudget(max_evals=1))
+    ticker = BudgetTicker(meter)
     rng = RngStream(21, 0)
     values = (rng.random() for _ in range(3 * BUDGET_CHECK_EVERY))
-    best_key_value(np.zeros(2), 0, values, ConstantDecoder(2), ticker)
-    assert ticker.fired and tally.count == BUDGET_CHECK_EVERY
+    best_key_value(np.zeros(2), 0, values, ticker)
+    assert ticker.fired and meter.count == BUDGET_CHECK_EVERY
     twin = RngStream(21, 0)
     for _ in range(BUDGET_CHECK_EVERY):
         twin.random()
@@ -295,8 +297,8 @@ def test_rvnd_and_drivers_look_up_searches_at_call_time(tiny_decoders, monkeypat
     count(trajectory, "rvnd")
     decoder = tiny_decoders["pmedian"]
     rng = RngStream(17, 0)
-    local_search.rvnd(random_vector(decoder.dimension, rng), decoder, None, rng)
+    local_search.rvnd(random_vector(decoder.dimension, rng), Meter(decoder), None, rng)
     assert calls.keys() >= {"swap_ls", "farey_ls", "mirror_ls"}
-    trajectory.run_ils(decoder, defaults_for("pmedian")["ils"], None, RngStream(17, 1),
-                       TimeBudget(max_evals=200))
+    trajectory.run_ils(Meter(decoder, TimeBudget(max_evals=200)), defaults_for("pmedian")["ils"],
+                       None, RngStream(17, 1))
     assert calls.get("rvnd", 0) >= 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import golden_cases
-from keyopt.core import RngStream, TimeBudget
+from keyopt.core import Meter, RngStream, TimeBudget
 from keyopt.harness import ExperimentConfig, solver_params
 from keyopt.qlearning import QController
 from keyopt.solvers import (
@@ -138,6 +138,6 @@ def test_single_member_brkga_stops_under_an_evaluation_budget(tiny_decoders, q_c
     params = BrkgaParams(p=1)
     rng = RngStream(3, 1)
     controller = QController(control_grid("brkga", params), rng) if q_control else None
-    result = run_brkga(decoder, params, None, rng, TimeBudget(max_evals=50),
+    result = run_brkga(Meter(decoder, TimeBudget(max_evals=50)), params, None, rng,
                        controller=controller)
     assert result.evaluations >= 1  # returned instead of spinning

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import instgen
-from keyopt.core import Decoder, RngStream, TimeBudget, evaluate, random_vector
+from keyopt.core import Decoder, Meter, RngStream, TimeBudget, random_vector
 from keyopt.pool import init_pool
 from keyopt.problems import PMedianDecoder, brute_force_pmedian
 from keyopt.qlearning import QController
@@ -41,8 +41,7 @@ def run_one(name, decoder, seed, seconds=None, max_evals=None, controller=None):
     budget = TimeBudget(seconds=seconds, max_evals=max_evals)
     pool = init_pool(10, decoder, RngStream(seed, 0), budget=budget)
     rng = RngStream(seed, 1)
-    return SOLVERS[name](decoder, params, pool, rng, budget,
-                         controller=controller)
+    return SOLVERS[name](Meter(decoder, budget), params, pool, rng, controller=controller)
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
@@ -81,7 +80,7 @@ def test_solver_improvements_reach_pool(oracle_case):
     params = defaults_for("pmedian")["ils"]
     budget = TimeBudget(max_evals=3000)
     pool = init_pool(10, decoder, RngStream(13, 0), budget=budget)
-    result = SOLVERS["ils"](decoder, params, pool, RngStream(13, 1), budget)
+    result = SOLVERS["ils"](Meter(decoder, budget), params, pool, RngStream(13, 1))
     _, pool_best = pool.best()
     assert pool_best.objective <= result.best_fitness.objective + 1e-12
 
@@ -127,7 +126,7 @@ def test_lns_repair_keeps_keys_in_range(oracle_case):
     for _ in range(50):
         keys = random_vector(decoder.dimension, rng)
         removed = rng.choice(decoder.dimension, size=1, replace=False)
-        repaired, fit = lns_repair(keys, removed, decoder, rng)
+        repaired, fit = lns_repair(keys, removed, Meter(decoder), rng)
         assert np.all(repaired >= 0.0) and np.all(repaired < 1.0)
         assert fit.objective == decoder.decode(repaired)[0].objective
 
@@ -206,8 +205,7 @@ def test_solver_with_controller_stays_functional(oracle_case):
     pool = init_pool(10, decoder, RngStream(31, 0), budget=budget)
     rng = RngStream(31, 1)
     controller = QController(control_grid("sa", params), rng)
-    result = run_sa(decoder, params, pool, rng, budget,
-                    controller=controller)
+    result = run_sa(Meter(decoder, budget), params, pool, rng, controller=controller)
     assert result.best_fitness.objective < math.inf
     assert controller.qtable  # the controller actually learned something
 
@@ -289,6 +287,33 @@ def test_portfolio_under_an_evaluation_budget_is_bit_reproducible(oracle_case):
         [(k.tobytes(), f) for _, k, f in b.pool._entries]
 
 
+class Counting(Decoder):
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.calls = 0
+
+    def decode(self, keys):
+        self.calls += 1
+        return self.inner.decode(keys)
+
+
+def test_every_decoder_call_of_a_run_is_on_its_meter(oracle_case):
+    # Pool initialisation meters its own calls; every other call of a run
+    # must show in the evaluations the run reports.
+    decoder = Counting(oracle_case[0])
+    params = defaults_for("pmedian")
+    seed, max_evals = 61, 300
+    init_pool(10, decoder, RngStream(seed, 0), budget=TimeBudget(max_evals=max_evals))
+    init_calls = decoder.calls
+    for methods in [[name] for name in SOLVER_NAMES] + [list(SOLVER_NAMES)]:
+        decoder.calls = 0
+        outcome = bounded(lambda: run_portfolio(decoder, methods, params, seed=seed,
+                                                max_evals=max_evals, pool_capacity=10))
+        reported = sum(r.evaluations for r in outcome.per_solver.values())
+        assert decoder.calls == init_calls + reported, methods
+
+
 class OneAtATime(Decoder):
     """Counts decodes in flight, yielding the interpreter mid-decode, and
     records the calling thread of every call."""
@@ -348,9 +373,9 @@ def test_portfolio_member_failure_names_it_after_the_others_finish(
             return result
         return run
 
-    def broken(decoder, params, pool, rng, budget, controller=None):
+    def broken(meter, params, pool, rng, controller=None):
         for _ in range(2 * portfolio.TURN_CALLS):
-            evaluate(decoder, random_vector(decoder.dimension, rng))
+            meter.evaluate(random_vector(meter.dimension, rng))
         raise ZeroDivisionError("solver bug")
 
     for name in SOLVER_NAMES:
