@@ -21,7 +21,11 @@ for the portfolio.
 
 `decode/pmedian-n900-p200.txt` holds the `repr` of the p-median decoder's
 objective for 300 fixed key vectors on a generated instance of the paper's
-size (n=900, p=200, alpha=5), one per line.
+size (n=900, p=200, alpha=5), one per line.  `decode/partition-b100-r15.txt`
+holds the partition decoder's objective and assignment for 300 fixed key
+vectors on two generated handover instances of the paper's size (b=100,
+r=15): one with room to spare, and one so tight on capacity that about
+half of its decodes leave stations unassigned.
 
 `tests/test_golden.py` compares a fresh set with the committed one.  After a
 change that is meant to alter behaviour, rewrite the files with
@@ -46,7 +50,9 @@ import instgen  # noqa: E402
 
 from keyopt.cli import main  # noqa: E402
 from keyopt.harness import ExperimentConfig, run_experiment  # noqa: E402
+from keyopt.core import KEY_MAX  # noqa: E402
 from keyopt.problems import (  # noqa: E402
+    PartitionDecoder,
     PMedianDecoder,
     PMedianInstance,
     write_hubtree,
@@ -76,8 +82,9 @@ INSTANCES = {
 NEAR_LIST_INSTANCE = ("pmedian-n160-p72.txt", 3)
 NEAR_LIST_METHODS = ("brkga", "portfolio")
 
-# The paper-size p-median decode digest, relative to the golden directory.
+# The paper-size decode digests, relative to the golden directory.
 DECODE_DIGEST = "decode/pmedian-n900-p200.txt"
+PARTITION_DIGEST = "decode/partition-b100-r15.txt"
 
 
 def write_instances(directory=GOLDEN_DIR) -> None:
@@ -172,6 +179,26 @@ def write_decode_digest(path) -> None:
             fh.write(f"{decoder.decode(keys)[0].objective!r}\n")
 
 
+def write_partition_digest(path) -> None:
+    """The partition decoder's objective and assignment for random and
+    quarter-grid station keys, with seed-count keys at the edges of their
+    range, on a roomy and a capacity-tight instance; one vector per line."""
+    b, r = 100, 15
+    rng = np.random.default_rng(20261020)
+    roomy = PartitionDecoder(instgen.handover_partition(rng, b, r))
+    tight = PartitionDecoder(instgen.handover_partition(rng, b, r, slack=1.02))
+    seed_keys = (0.0, 1e-9, 0.5, KEY_MAX)
+    with open(path, "w") as fh:
+        for i in range(300):
+            keys = rng.random(b + 1)
+            if i % 7 == 3:
+                keys[:b] = np.floor(keys[:b] * 4) / 4
+            if i % 5 < len(seed_keys):
+                keys[b] = seed_keys[i % 5]
+            fit, assignment = (tight if i % 3 == 2 else roomy).decode(keys)
+            fh.write(f"{fit.objective!r} {' '.join(map(str, assignment))}\n")
+
+
 def write_outputs(directory) -> None:
     """Every output file under `directory`, from the committed instances."""
     os.makedirs(os.path.join(directory, "solve"), exist_ok=True)
@@ -197,4 +224,5 @@ if __name__ == "__main__":
         write_instances()
     write_outputs(GOLDEN_DIR)
     write_decode_digest(os.path.join(GOLDEN_DIR, DECODE_DIGEST))
-    print(f"wrote {len(output_names()) + 1} files under {GOLDEN_DIR}")
+    write_partition_digest(os.path.join(GOLDEN_DIR, PARTITION_DIGEST))
+    print(f"wrote {len(output_names()) + 2} files under {GOLDEN_DIR}")

@@ -76,3 +76,20 @@ def connected_graph_edges(rng, n, extra=0.4):
             if (i, j) not in edges and rng.random() < extra:
                 edges[(i, j)] = int(rng.integers(1, 20))
     return [(i, j, c) for (i, j), c in sorted(edges.items())]
+
+
+def handover_partition(rng, b, r, near=8, slack=1.3) -> PartitionInstance:
+    """Handover instance shaped like a cellular network: stations at random
+    plane points, each handing integer traffic in [1, 100] over to its
+    `near` nearest stations.  The controllers share `slack` times the total
+    station traffic, with +-5 % jitter, rounded to whole units."""
+    pts = rng.random((b, 2))
+    d = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    np.fill_diagonal(d, np.inf)
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :near]
+    h = np.zeros((b, b))
+    h[np.repeat(np.arange(b), near), nearest.ravel()] = rng.integers(1, 101, size=b * near)
+    traffic = rng.integers(1, 101, size=b).astype(float)
+    capacity = np.round(traffic.sum() * slack / r * rng.uniform(0.95, 1.05, size=r))
+    capacity = np.maximum(capacity, traffic.max())
+    return PartitionInstance(traffic=traffic, capacity=capacity, handovers=h)
