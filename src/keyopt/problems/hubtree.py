@@ -40,6 +40,8 @@ class HubTreeInstance:
             raise ValueError("instance needs at least two nodes")
         if c.shape != (n, n) or w.shape != (n, n):
             raise ValueError("cost and demand matrices must be square and equal-sized")
+        if not (np.isfinite(c).all() and np.isfinite(w).all()):
+            raise ValueError("costs and demands must be finite numbers")
         if not np.allclose(c, c.T):
             raise ValueError("cost matrix must be symmetric")
         if np.any(np.diag(c) != 0):

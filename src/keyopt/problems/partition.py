@@ -36,6 +36,8 @@ class PartitionInstance:
         b = len(t)
         if h.shape != (b, b):
             raise ValueError(f"handover matrix must be {b}x{b}, got {h.shape}")
+        if not (np.isfinite(t).all() and np.isfinite(c).all() and np.isfinite(h).all()):
+            raise ValueError("traffic, capacities and handovers must be finite numbers")
         if np.any(np.diag(h) != 0):
             raise ValueError("handover matrix must have a zero diagonal")
         if np.any(t < 0) or np.any(h < 0):
@@ -43,10 +45,17 @@ class PartitionInstance:
         if np.any(c <= 0):
             raise ValueError("controller capacities must be positive")
         # Decoder lookups: plain lists index faster than arrays element by
-        # element.  Bidirectional handover mass feeds the greedy insertion gain.
+        # element.  Each station's neighbours are the stations it exchanges
+        # handovers with, paired with the mass in both directions; placing a
+        # station adds that mass to each neighbour's gain for its controller.
+        both = h + h.T
+        neighbours = []
+        for row in both:
+            near = np.flatnonzero(row)
+            neighbours.append(list(zip(near.tolist(), row[near].tolist())))
         object.__setattr__(self, "_traffic_list", t.tolist())
         object.__setattr__(self, "_capacity_list", c.tolist())
-        object.__setattr__(self, "_h_both_rows", (h + h.T).tolist())
+        object.__setattr__(self, "_neighbours", neighbours)
         object.__setattr__(self, "_penalty_unit", float(h.sum()))
 
     @property
@@ -90,14 +99,17 @@ class PartitionDecoder(Decoder):
         seeds = min(r, max(1, math.ceil(keys[b] * r)))
 
         assignment = [-1] * b
-        members: list[list[int]] = [[] for _ in range(r)]
         load = [0.0] * r
         traffic = inst._traffic_list
         capacity = inst._capacity_list
-        h_both = inst._h_both_rows
+        neighbours = inst._neighbours
+        # gain[s][c]: handover mass, both ways, between station s and the
+        # stations placed on controller c so far.
+        gain = [[0.0] * r for _ in range(b)]
 
         # Seed phase: one station per controller in index order, skipping
-        # controllers that cannot hold their station.
+        # controllers that cannot hold their station.  A seed is the first
+        # station on its controller, so it gains nothing.
         next_controller = 0
         placed = 0
         pos = 0
@@ -111,41 +123,35 @@ class PartitionDecoder(Decoder):
             if target is None:
                 break
             assignment[station] = target
-            members[target].append(station)
             load[target] += traffic[station]
+            for other, mass in neighbours[station]:
+                gain[other][target] += mass
             next_controller = target + 1
             placed += 1
             pos += 1
 
         # Greedy phase: best handover gain among feasible controllers, ties
-        # to the lowest controller index.
+        # to the lowest controller index.  The chosen gains add up to the
+        # handover mass inside controllers.
+        intra = 0.0
         for station in order[pos:]:
-            gains = h_both[station]
+            t = traffic[station]
             best_ctrl = -1
             best_gain = -1.0
-            for ctrl in range(r):
-                if load[ctrl] + traffic[station] > capacity[ctrl]:
-                    continue
-                gain = 0.0
-                for member in members[ctrl]:
-                    gain += gains[member]
-                if gain > best_gain:
-                    best_gain = gain
+            for ctrl, g in enumerate(gain[station]):
+                if g > best_gain and load[ctrl] + t <= capacity[ctrl]:
+                    best_gain = g
                     best_ctrl = ctrl
             if best_ctrl >= 0:
                 assignment[station] = best_ctrl
-                members[best_ctrl].append(station)
-                load[best_ctrl] += traffic[station]
+                load[best_ctrl] += t
+                intra += best_gain
+                for other, mass in neighbours[station]:
+                    gain[other][best_ctrl] += mass
 
         unassigned = assignment.count(-1)
         # Cut = all handovers minus the intra-controller ones; unassigned
         # stations have no controller, so their traffic all counts as cut.
-        intra = 0.0
-        h = inst.handovers
-        for group in members:
-            if len(group) > 1:
-                idx = np.array(group)
-                intra += float(h[idx[:, None], idx].sum())
         cut = max(0.0, inst.penalty_unit - intra)
         penalty = unassigned * inst.penalty_unit
         return Fitness.of(cut, penalty), tuple(assignment)

@@ -207,6 +207,8 @@ def parse_orlib_pmed(path, alpha: int = 1) -> PMedianInstance:
             i, j, cost = edge
             if not (1 <= i <= n and 1 <= j <= n):
                 return "vertex id out of range"
+            if not math.isfinite(cost):
+                return "edge cost is not a finite number"
             if cost < 0:
                 return "negative edge cost"
             return None

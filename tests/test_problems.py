@@ -508,6 +508,139 @@ def test_partition_brute_force_dominates_decodes():
         assert fit.objective >= optimum - 1e-9
 
 
+def reference_partition_decode(inst, keys) -> tuple:
+    """The greedy insertion as a straight loop that re-sums, for every
+    station and controller, the handovers to the controller's members; the
+    objective counts every ordered pair inside a controller."""
+    b, r = inst.stations, inst.controllers
+    h = inst.handovers.tolist()
+    traffic, capacity = inst.traffic.tolist(), inst.capacity.tolist()
+    order = sorted(range(b), key=lambda s: keys[s])
+    seeds = min(r, max(1, math.ceil(keys[b] * r)))
+    assignment = [-1] * b
+    members = [[] for _ in range(r)]
+    load = [0.0] * r
+
+    def place(station, ctrl):
+        assignment[station] = ctrl
+        members[ctrl].append(station)
+        load[ctrl] += traffic[station]
+
+    pos = next_controller = 0
+    while pos < min(seeds, b):
+        station = order[pos]
+        fits = [c for c in range(next_controller, r)
+                if load[c] + traffic[station] <= capacity[c]]
+        if not fits:
+            break
+        place(station, fits[0])
+        next_controller = fits[0] + 1
+        pos += 1
+    for station in order[pos:]:
+        best_ctrl, best_gain = -1, -1.0
+        for ctrl in range(r):
+            if load[ctrl] + traffic[station] > capacity[ctrl]:
+                continue
+            gain = 0.0
+            for member in members[ctrl]:
+                gain += h[station][member] + h[member][station]
+            if gain > best_gain:
+                best_ctrl, best_gain = ctrl, gain
+        if best_ctrl >= 0:
+            place(station, best_ctrl)
+    intra = 0.0
+    for group in members:
+        for i in group:
+            for j in group:
+                intra += h[i][j]
+    total = float(inst.handovers.sum())
+    cost = max(0.0, total - intra) + assignment.count(-1) * total
+    return cost, tuple(assignment)
+
+
+def _partition_key_vectors(rng, b, count):
+    """Random key vectors, every fourth one with a seed-count key at an edge
+    of its range."""
+    edges = (0.0, 1e-9, 0.5, KEY_MAX)
+    for i in range(count):
+        keys = rng.random(b + 1)
+        if i % 4 == 0:
+            keys[b] = edges[(i // 4) % len(edges)]
+        yield keys
+
+
+def _integer_partitions():
+    rng = np.random.default_rng(31)
+    yield instgen.tiny_partition(rng, b=8, r=3, density=0.8)
+    yield instgen.tiny_partition(rng, b=12, r=4, slack=(1.0, 1.2))
+    yield instgen.handover_partition(rng, b=100, r=15)
+    yield instgen.handover_partition(rng, b=100, r=15, slack=1.02)
+
+
+def test_partition_decoder_matches_member_summing_reference_bit_for_bit():
+    rng = np.random.default_rng(32)
+    penalized = 0
+    for inst in _integer_partitions():
+        decoder = PartitionDecoder(inst)
+        for keys in _partition_key_vectors(rng, inst.stations, 300):
+            fit, assignment = decoder.decode(keys)
+            cost, expected = reference_partition_decode(inst, keys)
+            assert assignment == expected
+            assert fit.objective == cost
+            penalized += not fit.feasible
+    assert penalized > 0
+
+
+def test_partition_decoder_matches_reference_on_non_integer_handovers():
+    rng = np.random.default_rng(33)
+    for inst in _integer_partitions():
+        scaled = PartitionInstance(traffic=inst.traffic, capacity=inst.capacity,
+                                   handovers=inst.handovers * rng.random(inst.handovers.shape))
+        decoder = PartitionDecoder(scaled)
+        for keys in _partition_key_vectors(rng, inst.stations, 100):
+            fit, assignment = decoder.decode(keys)
+            cost, expected = reference_partition_decode(scaled, keys)
+            assert assignment == expected
+            assert fit.objective == pytest.approx(cost, rel=1e-12)
+
+
+def _tie_instance(capacity, pairs) -> PartitionInstance:
+    """Four stations of traffic 1; station 3 is placed last, after stations
+    0, 1 and 2 have seeded controllers 0, 1 and 2.  `pairs` maps
+    (from, to) to a handover count."""
+    h = np.zeros((4, 4))
+    for (i, j), value in pairs.items():
+        h[i, j] = value
+    return PartitionInstance(traffic=np.ones(4), capacity=capacity, handovers=h)
+
+
+TIE_KEYS = np.array([0.1, 0.2, 0.3, 0.4, KEY_MAX])
+
+
+def test_partition_equal_gains_go_to_the_lowest_controller():
+    # Station 3 gains 4 on controller 1 (outgoing) and 4 on controller 2
+    # (incoming), nothing on controller 0.
+    inst = _tie_instance([5.0, 5.0, 5.0], {(3, 1): 4.0, (2, 3): 4.0})
+    fit, assignment = PartitionDecoder(inst).decode(TIE_KEYS)
+    assert assignment == (0, 1, 2, 1)
+    assert fit.objective == 4.0
+
+
+def test_partition_zero_gains_go_to_the_lowest_feasible_controller():
+    # Controller 0 is full after its seed; station 3 exchanges no handovers.
+    inst = _tie_instance([1.0, 5.0, 5.0], {(0, 1): 3.0})
+    fit, assignment = PartitionDecoder(inst).decode(TIE_KEYS)
+    assert assignment == (0, 1, 2, 1)
+    assert fit.objective == 3.0
+
+
+def test_partition_full_controller_is_skipped_despite_higher_gain():
+    inst = _tie_instance([1.0, 5.0, 5.0], {(3, 0): 9.0, (3, 2): 2.0})
+    fit, assignment = PartitionDecoder(inst).decode(TIE_KEYS)
+    assert assignment == (0, 1, 2, 2)
+    assert fit.objective == 9.0
+
+
 # ---------------------------------------------------------------- hub tree
 
 
@@ -640,12 +773,17 @@ MALFORMED = [
     ("pmedian", "surplus-row", "3 2 2\n1 2 1\n2 3 2\n1 3 5\n", 4, "unexpected line"),
     ("pmedian", "vertex-range", "3 2 2\n1 2 1\n2 4 2\n", 3, "vertex id out of range"),
     ("pmedian", "validation", "3 2 1\n1 2 1\n2 3 2\n", None, "alpha"),
+    ("pmedian", "nan-edge-cost", "3 2 2\n1 2 nan\n2 3 2\n", 2, "not a finite number"),
+    ("pmedian", "inf-edge-cost", "3 2 2\n1 2 1\n2 3 inf\n", 3, "not a finite number"),
     ("partition", "header-arity", "2 1 7\n1 1\n5\n0 1\n1 0\n", 1, "header"),
     ("partition", "non-numeric", "2 1\n1 1\n5\n0 1\n# note\n\n1 z\n", 7, "bad handover row"),
     ("partition", "too-few-rows", "2 1\n1 1\n5\n0 1\n", None,
      "expected 2 handover rows, found 1"),
     ("partition", "surplus-row", "2 1\n1 1\n5\n0 1\n1 0\n1 0\n", 6, "unexpected line"),
     ("partition", "validation", "2 1\n1 1\n5\n3 1\n1 0\n", None, "zero diagonal"),
+    ("partition", "nan-handover", "2 1\n1 1\n5\n0 nan\n1 0\n", None, "finite numbers"),
+    ("partition", "nan-traffic", "2 1\nnan 1\n5\n0 1\n1 0\n", None, "finite numbers"),
+    ("partition", "inf-capacity", "2 1\n1 1\ninf\n0 1\n1 0\n", None, "finite numbers"),
     ("hubtree", "header-arity", "2 1\n0 1\n1 0\n0 2\n3 0\n", 1, "header"),
     ("hubtree", "non-numeric", "2 1 0.5\n0 1\n1 0\n# note\n\n0 q\n3 0\n", 6,
      "bad demand row"),
@@ -653,6 +791,8 @@ MALFORMED = [
      "expected 2 demand rows, found 1"),
     ("hubtree", "surplus-row", "2 1 0.5\n0 1\n1 0\n0 2\n3 0\n3 0\n", 6, "unexpected line"),
     ("hubtree", "validation", "2 1 0.5\n0 1\n2 0\n0 2\n3 0\n", None, "symmetric"),
+    ("hubtree", "nan-demand", "2 1 0.5\n0 1\n1 0\n0 nan\n3 0\n", None, "finite numbers"),
+    ("hubtree", "inf-cost", "2 1 0.5\n0 inf\ninf 0\n0 2\n3 0\n", None, "finite numbers"),
 ]
 
 
