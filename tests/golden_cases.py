@@ -49,8 +49,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import instgen  # noqa: E402
 
 from keyopt.cli import main  # noqa: E402
-from keyopt.harness import ExperimentConfig, run_experiment  # noqa: E402
 from keyopt.core import KEY_MAX  # noqa: E402
+from keyopt.harness import ExperimentConfig, run_experiment  # noqa: E402
 from keyopt.problems import (  # noqa: E402
     PartitionDecoder,
     PMedianDecoder,
