@@ -559,13 +559,13 @@ def reference_partition_decode(inst, keys) -> tuple:
 
 
 def _partition_key_vectors(rng, b, count):
-    """Random key vectors, every fourth one with a seed-count key at an edge
-    of its range."""
-    edges = (0.0, 1e-9, 0.5, KEY_MAX)
+    """Random key vectors; every fourth one has a seed-count key of 0.0,
+    1e-9, 0.5 or KEY_MAX, in turn."""
+    seed_keys = (0.0, 1e-9, 0.5, KEY_MAX)
     for i in range(count):
         keys = rng.random(b + 1)
         if i % 4 == 0:
-            keys[b] = edges[(i // 4) % len(edges)]
+            keys[b] = seed_keys[(i // 4) % len(seed_keys)]
         yield keys
 
 
