@@ -127,7 +127,13 @@ def mirror_key(x: float) -> float:
 class Meter:
     """A run's meter and its one way to decode: every call is checked
     against the decoder's dimension, counted, and spent against the
-    budget.  Without a budget it never expires."""
+    budget.  Without a budget it never expires.
+
+    Searches and drivers do not decode themselves.  They are generators
+    that ask for a decode with `fit = yield keys` (nested searches with
+    `yield from`) and return their result; `run` drives one to its end,
+    and the portfolio interleaves several.  Either way, each request is
+    answered by `answer`."""
 
     def __init__(self, decoder: Decoder, budget: "TimeBudget | None" = None):
         self.dimension = decoder.dimension
@@ -144,6 +150,26 @@ class Meter:
         self.count += 1
         fit, _ = self._decode(keys)
         return fit
+
+    def answer(self, search, keys: np.ndarray):
+        """Decode the vector `search` asked for and resume it with the
+        fitness, or throw the decode's error into it at the point that
+        asked; return its next request."""
+        try:
+            fit = self.evaluate(keys)
+        except Exception as exc:  # noqa: BLE001 - the search may handle it
+            return search.throw(exc)
+        return search.send(fit)
+
+    def run(self, search):
+        """Drive a search generator to its end, decoding every vector it
+        yields, and return what it returns."""
+        try:
+            keys = next(search)
+            while True:
+                keys = self.answer(search, keys)
+        except StopIteration as stop:
+            return stop.value
 
     def expired(self) -> bool:
         return self.budget is not None and self.budget.expired(self.count)

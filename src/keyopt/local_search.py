@@ -2,9 +2,11 @@
 top of four problem-independent neighborhoods (swap, Farey, mirror,
 Nelder-Mead).
 
-Every function here is a descent method: the returned vector never has a
-worse objective than the incumbent it started from.  All of them decode
-through the run's meter.  When the meter carries a budget, swap, Farey and
+Every search here is a descent method: the returned vector never has a
+worse objective than the incumbent it started from.  Each one is a
+generator that asks for a decode with `fit = yield keys` and returns its
+(keys, fitness) result; run one alone with `Meter.run`.  The run's meter is
+passed in only to read the budget.  When it carries a budget, swap, Farey and
 mirror poll it every BUDGET_CHECK_EVERY decodes and Nelder-Mead every
 BUDGET_CHECK_EVERY simplex iterations, so a poll can cut Nelder-Mead short
 only on vectors of 473 keys or more; RVND checks it before each
@@ -65,20 +67,13 @@ class BudgetTicker:
         return self.fired
 
 
-def _ensure_fitness(keys, meter, fitness):
-    if fitness is None:
-        return meter.evaluate(keys)
-    return fitness
-
-
 def farey_draws(rng: RngStream):
     """One uniform draw from each Farey interval, drawn lazily."""
     return (draw_in_interval(rng, lo, hi) for lo, hi in FAREY_GAPS)
 
 
-def best_key_value(work: np.ndarray, idx: int, values,
-                   ticker: BudgetTicker) -> tuple[float, Fitness]:
-    """Evaluate `work` with key `idx` set to each of `values` in turn and
+def best_key_value(work: np.ndarray, idx: int, values, ticker: BudgetTicker):
+    """Decode `work` with key `idx` set to each of `values` in turn and
     return (value, fitness) of the first minimum, with `work[idx]` restored.
 
     Stops after the candidate on which the budget poll fires (then
@@ -86,11 +81,10 @@ def best_key_value(work: np.ndarray, idx: int, values,
     drawn after the stop.
     """
     original = work[idx]
-    evaluate = ticker.meter.evaluate
     best_v = best_fit = None
     for v in values:
         work[idx] = v
-        fit = evaluate(work)
+        fit = yield work
         if best_fit is None or fit.objective < best_fit.objective:
             best_v, best_fit = work[idx], fit
         if ticker.out_of_time():
@@ -99,18 +93,14 @@ def best_key_value(work: np.ndarray, idx: int, values,
     return best_v, best_fit
 
 
-def swap_ls(
-    keys: np.ndarray,
-    meter: Meter,
-    rng: RngStream,
-    fitness: Fitness | None = None,
-) -> tuple[np.ndarray, Fitness]:
+def swap_ls(keys: np.ndarray, meter: Meter, rng: RngStream,
+            fitness: Fitness | None = None):
     """First-improvement scan over all unordered key pairs, visited in a
     freshly randomized index order; an improving swap is kept and the scan
     continues from the new incumbent."""
     ticker = BudgetTicker(meter)
     best = np.array(keys, copy=True)
-    best_fit = _ensure_fitness(keys, meter, fitness)
+    best_fit = (yield keys) if fitness is None else fitness
     n = len(keys)
     if n < 2:
         return best, best_fit
@@ -120,7 +110,7 @@ def swap_ls(
         for j in range(i + 1, n):
             a, b = order[i], order[j]
             work[a], work[b] = work[b], work[a]
-            fit = meter.evaluate(work)
+            fit = yield work
             if fit.objective < best_fit.objective:
                 best_fit = fit
                 best = work.copy()
@@ -137,9 +127,9 @@ def _key_scan(keys, meter, rng, fitness, candidates):
     that beats the incumbent."""
     ticker = BudgetTicker(meter)
     best = np.array(keys, copy=True)
-    best_fit = _ensure_fitness(keys, meter, fitness)
+    best_fit = (yield keys) if fitness is None else fitness
     for idx in rng.permutation(len(keys)):
-        v, fit = best_key_value(best, idx, candidates(best, idx), ticker)
+        v, fit = yield from best_key_value(best, idx, candidates(best, idx), ticker)
         if fit.objective < best_fit.objective:
             best[idx], best_fit = v, fit
         if ticker.fired:
@@ -147,23 +137,15 @@ def _key_scan(keys, meter, rng, fitness, candidates):
     return best, best_fit
 
 
-def farey_ls(
-    keys: np.ndarray,
-    meter: Meter,
-    rng: RngStream,
-    fitness: Fitness | None = None,
-) -> tuple[np.ndarray, Fitness]:
+def farey_ls(keys: np.ndarray, meter: Meter, rng: RngStream,
+             fitness: Fitness | None = None):
     """For each key in randomized order, try one candidate value drawn from
     each of the 18 Farey intervals; first improvement is kept."""
     return _key_scan(keys, meter, rng, fitness, lambda best, idx: farey_draws(rng))
 
 
-def mirror_ls(
-    keys: np.ndarray,
-    meter: Meter,
-    rng: RngStream,
-    fitness: Fitness | None = None,
-) -> tuple[np.ndarray, Fitness]:
+def mirror_ls(keys: np.ndarray, meter: Meter, rng: RngStream,
+              fitness: Fitness | None = None):
     """Test the complement of each key in randomized order, first
     improvement kept."""
     return _key_scan(keys, meter, rng, fitness, lambda best, idx: (mirror_key(best[idx]),))
@@ -183,7 +165,7 @@ def nelder_mead_ls(
     fits: tuple[Fitness, Fitness, Fitness] | None = None,
     rho: float = 0.5,
     mu: float = 0.02,
-) -> tuple[np.ndarray, Fitness]:
+):
     """Simplex search over three vertices using blending as the geometric
     operator (reflection, expansion, inside/outside contraction, shrink).
 
@@ -192,14 +174,15 @@ def nelder_mead_ls(
     if not (len(keys1) == len(keys2) == len(keys3)):
         raise DimensionError("simplex vertices differ in length")
     ticker = BudgetTicker(meter)
-    evaluate = meter.evaluate
     n = len(keys1)
     plus = BlendParams(rho=rho, mu=mu, factor=1)
     minus = BlendParams(rho=rho, mu=mu, factor=-1)
 
     simplex = [np.array(k, copy=True) for k in (keys1, keys2, keys3)]
     if fits is None:
-        fvals = [evaluate(k) for k in simplex]
+        fvals = []
+        for k in simplex:
+            fvals.append((yield k))
     else:
         fvals = list(fits)
     order = sorted(range(3), key=lambda i: fvals[i].objective)
@@ -210,10 +193,10 @@ def nelder_mead_ls(
     for _ in range(nelder_mead_iterations(n)):
         shrink = False
         reflected = blend(centroid, simplex[2], minus, rng)
-        f_r = evaluate(reflected)
+        f_r = yield reflected
         if f_r.objective < fvals[0].objective:
             expanded = blend(reflected, centroid, minus, rng)
-            f_e = evaluate(expanded)
+            f_e = yield expanded
             if f_e.objective < f_r.objective:
                 simplex[2], fvals[2] = expanded, f_e
             else:
@@ -222,14 +205,14 @@ def nelder_mead_ls(
             simplex[2], fvals[2] = reflected, f_r
         elif f_r.objective < fvals[2].objective:
             contracted = blend(reflected, centroid, plus, rng)
-            f_c = evaluate(contracted)
+            f_c = yield contracted
             if f_c.objective < f_r.objective:
                 simplex[2], fvals[2] = contracted, f_c
             else:
                 shrink = True
         else:
             contracted = blend(centroid, simplex[2], plus, rng)
-            f_c = evaluate(contracted)
+            f_c = yield contracted
             if f_c.objective < fvals[2].objective:
                 simplex[2], fvals[2] = contracted, f_c
             else:
@@ -237,7 +220,7 @@ def nelder_mead_ls(
         if shrink:
             for i in (1, 2):
                 simplex[i] = blend(simplex[0], simplex[i], plus, rng)
-                fvals[i] = evaluate(simplex[i])
+                fvals[i] = yield simplex[i]
         order = sorted(range(3), key=lambda i: fvals[i].objective)
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
@@ -247,13 +230,8 @@ def nelder_mead_ls(
     return simplex[0], fvals[0]
 
 
-def rvnd(
-    keys: np.ndarray,
-    meter: Meter,
-    pool,
-    rng: RngStream,
-    fitness: Fitness | None = None,
-) -> tuple[np.ndarray, Fitness]:
+def rvnd(keys: np.ndarray, meter: Meter, pool, rng: RngStream,
+         fitness: Fitness | None = None):
     """Randomized variable neighborhood descent.
 
     Picks neighborhoods at random from the active list; an improvement
@@ -263,7 +241,7 @@ def rvnd(
     entries.
     """
     best = np.array(keys, copy=True)
-    best_fit = _ensure_fitness(keys, meter, fitness)
+    best_fit = (yield keys) if fitness is None else fitness
 
     def full_list():
         # Looked up on each call, so a replaced module global takes effect.
@@ -280,9 +258,9 @@ def rvnd(
         if search is nelder_mead_ls:
             k2, f2 = pool.sample(rng)
             k3, f3 = pool.sample(rng)
-            cand, cand_fit = search(best, k2, k3, meter, rng, (best_fit, f2, f3))
+            cand, cand_fit = yield from search(best, k2, k3, meter, rng, (best_fit, f2, f3))
         else:
-            cand, cand_fit = search(best, meter, rng, best_fit)
+            cand, cand_fit = yield from search(best, meter, rng, best_fit)
         if cand_fit.objective < best_fit.objective:
             best, best_fit = cand, cand_fit
             active = full_list()

@@ -1,8 +1,9 @@
 """Shared repository of the best distinct solutions found so far.
 
-The pool is the only object the portfolio's solvers share.  They take
-turns (see `solvers.portfolio`), so one solver at a time reads or changes
-it, and it needs no lock.  Entries are kept sorted by objective,
+The pool is the only object the portfolio's solvers share.  The portfolio
+interleaves them on one thread, switching only between decodes (see
+`solvers.portfolio`), so one solver at a time reads or changes it, and it
+needs no lock.  Entries are kept sorted by objective,
 capacity-bounded, and clone-free (two entries are clones when their
 objectives agree within a relative tolerance).
 """
@@ -107,21 +108,25 @@ def init_pool(
     """
     pool = ElitePool(capacity)
     meter = Meter(decoder, budget)
-    for _ in range(capacity):
+    meter.run(_fill(pool, meter, rng))
+    return pool
+
+
+def _fill(pool: ElitePool, meter: Meter, rng: RngStream):
+    for _ in range(pool.capacity):
         keys = random_vector(meter.dimension, rng)
-        fit = meter.evaluate(keys)
-        keys, fit = farey_ls(keys, meter, rng, fit)
+        fit = yield keys
+        keys, fit = yield from farey_ls(keys, meter, rng, fit)
         if pool.offer(keys, fit):
             continue
         placed = False
         for _ in range(INIT_SHAKE_ATTEMPTS):
             cand = shake(keys, INIT_SHAKE_RANGE, rng)
-            cand_fit = meter.evaluate(cand)
+            cand_fit = yield cand
             if pool.offer(cand, cand_fit):
                 placed = True
                 break
         if not placed:
             cand = random_vector(meter.dimension, rng)
-            cand_fit = meter.evaluate(cand)
+            cand_fit = yield cand
             pool.insert_unchecked(cand, cand_fit)
-    return pool

@@ -41,6 +41,10 @@ class SolverRun:
     budget), its best-so-far with the pool offers, and its parameter
     controller.
 
+    Drivers are generators, like the searches they call: `fitness` and
+    `random_member` ask for their decodes with `yield` and are called with
+    `yield from`.
+
     Every strict improvement of the best is appended to the trace,
     timestamped with the meter's clock, and offered to the shared elite
     pool.  `iterations()` drives the outer loop.  Each step yields the
@@ -77,16 +81,17 @@ class SolverRun:
             self.pool.offer(keys, fitness)
         return True
 
-    def evaluate(self, keys: np.ndarray) -> Fitness:
-        """Decode `keys`, counting the call, and consider them for the best."""
-        fit = self.meter.evaluate(keys)
+    def fitness(self, keys: np.ndarray):
+        """Ask for the decode of `keys` and consider them for the best;
+        return their fitness."""
+        fit = yield keys
         self.consider(keys, fit)
         return fit
 
-    def random_member(self, rng) -> tuple[np.ndarray, Fitness]:
-        """A fresh random vector and its (evaluated) fitness."""
+    def random_member(self, rng):
+        """A fresh random vector and its (decoded) fitness."""
         keys = random_vector(self.meter.dimension, rng)
-        return keys, self.evaluate(keys)
+        return keys, (yield from self.fitness(keys))
 
     def keep(self, keys: np.ndarray, fit: Fitness) -> tuple[np.ndarray, Fitness]:
         """Consider an already evaluated pair, e.g. a local search's result,

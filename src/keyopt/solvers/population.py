@@ -1,6 +1,7 @@
 """Population metaheuristics: the elitist random-key genetic algorithm, a
 standard genetic algorithm with tournament selection, and particle swarm
-optimization."""
+optimization.  Like the trajectory drivers, each is a generator that asks
+for its decodes with `fit = yield keys` and returns a RunResult."""
 
 import numpy as np
 
@@ -9,7 +10,7 @@ from ..local_search import rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
 from ..variation import BlendParams, blend
-from .base import RunResult, SolverRun, round_half_up
+from .base import SolverRun, round_half_up
 
 
 def brkga_partition(p: int, pe: float, pm: float) -> tuple[int, int, int]:
@@ -26,7 +27,7 @@ def brkga_partition(p: int, pe: float, pm: float) -> tuple[int, int, int]:
 def _init_population(run: SolverRun, size, rng):
     pop, fits = [], []
     for _ in range(size):
-        keys, fit = run.random_member(rng)
+        keys, fit = yield from run.random_member(rng)
         pop.append(keys)
         fits.append(fit)
         if run.expired():
@@ -45,7 +46,7 @@ def _resize_population(run: SolverRun, pop, fits, target, rng):
     if target < len(pop):
         return pop[:target], fits[:target]
     while len(pop) < target and not run.expired():
-        keys, fit = run.random_member(rng)
+        keys, fit = yield from run.random_member(rng)
         pop.append(keys)
         fits.append(fit)
     return pop, fits
@@ -57,18 +58,18 @@ def run_brkga(
     pool: ElitePool | None,
     rng: RngStream,
     controller: QController | None = None,
-) -> RunResult:
+):
     """Generational loop copying the elite block, injecting mutants, and
     filling the rest with elite-biased uniform crossover; every new
     generation best is intensified with RVND."""
     run = SolverRun(meter, params, pool, controller)
-    pop, fits = _init_population(run, params.p, rng)
+    pop, fits = yield from _init_population(run, params.p, rng)
     pop, fits = _sorted_population(pop, fits)
 
     for p in run.iterations():
         prev_best = run.best_objective
         if p.p != len(pop):
-            pop, fits = _resize_population(run, pop, fits, p.p, rng)
+            pop, fits = yield from _resize_population(run, pop, fits, p.p, rng)
             pop, fits = _sorted_population(pop, fits)
         n_elite, n_mutant, n_offspring = brkga_partition(len(pop), p.pe, p.pm)
         crossover = BlendParams(rho=p.rho, mu=0.0, factor=1)
@@ -78,7 +79,7 @@ def run_brkga(
         for _ in range(n_mutant):
             if run.expired():
                 break
-            keys, fit = run.random_member(rng)
+            keys, fit = yield from run.random_member(rng)
             new_pop.append(keys)
             new_fits.append(fit)
         for _ in range(n_offspring):
@@ -88,12 +89,12 @@ def run_brkga(
             other = pop[rng.integers(0, len(pop))]
             child = blend(elite, other, crossover, rng)
             new_pop.append(child)
-            new_fits.append(run.evaluate(child))
+            new_fits.append((yield from run.fitness(child)))
         pop, fits = _sorted_population(new_pop, new_fits)
 
         if run.best_objective < prev_best:
-            improved, improved_fit = run.keep(*rvnd(
-                run.best_keys, meter, pool, rng, run.best_fitness))
+            improved, improved_fit = run.keep(*(yield from rvnd(
+                run.best_keys, meter, pool, rng, run.best_fitness)))
             pop[-1] = improved
             fits[-1] = improved_fit
             pop, fits = _sorted_population(pop, fits)
@@ -113,16 +114,16 @@ def run_ga(
     pool: ElitePool | None,
     rng: RngStream,
     controller: QController | None = None,
-) -> RunResult:
+):
     """Tournament selection, blending crossover with probability pc (parents
     are copied otherwise), elitism, and RVND on each generation's best."""
     run = SolverRun(meter, params, pool, controller)
-    pop, fits = _init_population(run, params.p, rng)
+    pop, fits = yield from _init_population(run, params.p, rng)
 
     for p in run.iterations():
         if p.p != len(pop):
             pop, fits = _sorted_population(pop, fits)
-            pop, fits = _resize_population(run, pop, fits, p.p, rng)
+            pop, fits = yield from _resize_population(run, pop, fits, p.p, rng)
         crossover = BlendParams(rho=0.5, mu=p.mu, factor=1)
 
         elite_idx = min(range(len(pop)), key=lambda i: fits[i].objective)
@@ -137,7 +138,7 @@ def run_ga(
                         break
                     child = blend(pop[x], pop[y], crossover, rng)
                     new_pop.append(child)
-                    new_fits.append(run.evaluate(child))
+                    new_fits.append((yield from run.fitness(child)))
             else:
                 for idx in (a, b):
                     if len(new_pop) >= len(pop):
@@ -146,8 +147,8 @@ def run_ga(
                     new_fits.append(fits[idx])
 
         best_idx = min(range(len(new_pop)), key=lambda i: new_fits[i].objective)
-        improved, improved_fit = run.keep(*rvnd(
-            new_pop[best_idx], meter, pool, rng, new_fits[best_idx]))
+        improved, improved_fit = run.keep(*(yield from rvnd(
+            new_pop[best_idx], meter, pool, rng, new_fits[best_idx])))
         if improved_fit.objective < new_fits[best_idx].objective:
             worst_idx = max(range(len(new_pop)), key=lambda i: new_fits[i].objective)
             new_pop[worst_idx] = improved
@@ -168,11 +169,11 @@ def run_pso(
     pool: ElitePool | None,
     rng: RngStream,
     controller: QController | None = None,
-) -> RunResult:
+):
     """Velocity-driven swarm over the key hypercube; one uniformly random
     particle per generation is polished with RVND."""
     run = SolverRun(meter, params, pool, controller)
-    pos, fits = _init_population(run, params.p, rng)
+    pos, fits = yield from _init_population(run, params.p, rng)
     vel = [np.zeros(meter.dimension) for _ in pos]
     p_best = [k.copy() for k in pos]
     p_best_fit = list(fits)
@@ -184,7 +185,7 @@ def run_pso(
         if p.p != len(pos):
             # Unsorted, so truncation keeps particle order.
             kept = min(p.p, len(pos))
-            pos, fits = _resize_population(run, pos, fits, p.p, rng)
+            pos, fits = yield from _resize_population(run, pos, fits, p.p, rng)
             vel = vel[:kept] + [np.zeros(meter.dimension) for _ in pos[kept:]]
             p_best = p_best[:kept] + [k.copy() for k in pos[kept:]]
             p_best_fit = p_best_fit[:kept] + fits[kept:]
@@ -200,7 +201,7 @@ def run_pso(
         for i in range(len(pos)):
             if run.expired():
                 break
-            fits[i] = fit = run.evaluate(pos[i])
+            fits[i] = fit = yield from run.fitness(pos[i])
             if fit.objective < p_best_fit[i].objective:
                 p_best[i] = pos[i].copy()
                 p_best_fit[i] = fit
@@ -210,7 +211,7 @@ def run_pso(
 
         j = rng.integers(0, len(pos))
         polished, polished_fit = run.keep(
-            *rvnd(pos[j], meter, pool, rng, fits[j]))
+            *(yield from rvnd(pos[j], meter, pool, rng, fits[j])))
         if polished_fit.objective < fits[j].objective:
             pos[j] = polished
             fits[j] = polished_fit

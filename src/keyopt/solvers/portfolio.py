@@ -5,14 +5,16 @@ Member streams are derived from a single master seed (stream 0 initializes
 the pool, stream i drives the i-th enabled solver), so a single-solver
 portfolio is equivalent to running that solver directly with the same seed.
 
-A member keeps the turn for TURN_CALLS decoder calls and then hands it to
-the next member still running; a member that finishes or fails leaves the
-rotation while it holds the turn.  Only the turn holder runs, so the
-rotation orders every pool access, and under an evaluation budget alone a
-run of many members is as bit-reproducible as a run of one.
+Every member is a generator that asks for its decodes with `yield` (see
+`core.Meter`), and the members are interleaved on the calling thread.  A
+member keeps the turn for TURN_CALLS decoder calls and then hands it to the
+next member still running; a member that finishes or fails leaves the
+rotation.  Only the turn holder runs, so the rotation orders every pool
+access, and under an evaluation budget alone a run of many members is as
+bit-reproducible as a run of one.
 """
 
-import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..core import Decoder, Meter, RngStream, TimeBudget
@@ -56,39 +58,22 @@ def _merged_trace(results):
     return merged
 
 
-class _Member(Meter):
-    """One member's meter, and its place in the rotation.
+def _member(name, meter, params, pool, rng, controller):
+    # The solver is looked up and started on the member's first turn.
+    return (yield from SOLVERS[name](meter, params, pool, rng, controller=controller))
 
-    Before each decoder call that would start a new block of TURN_CALLS,
-    the member hands the turn to the next running member and waits at its
-    own gate, so a handoff wakes only the member that gets the turn.
-    `running` holds the members still in the rotation, in member order;
-    only the turn holder reads or changes it.
-    """
 
-    def __init__(self, decoder: Decoder, budget: TimeBudget, running: list):
-        super().__init__(decoder, budget)
-        self.running = running
-        self.gate = threading.Semaphore(0)
-
-    def evaluate(self, keys):
-        if self.count and self.count % TURN_CALLS == 0:
-            nxt = self._next()
-            if nxt is not self:
-                nxt.gate.release()
-                self.gate.acquire()
-        return super().evaluate(keys)
-
-    def leave(self) -> None:
-        """Leave the rotation, handing the turn on."""
-        nxt = self._next()
-        self.running.remove(self)
-        if nxt is not self:
-            nxt.gate.release()
-
-    def _next(self) -> "_Member":
-        pos = self.running.index(self)
-        return self.running[(pos + 1) % len(self.running)]
+def _turn(meter: Meter, member, keys):
+    """Serve `member`'s requests, starting with `keys`, its request left
+    pending at its last turn (None before its first turn), until it asks
+    for the first call of a new block of TURN_CALLS; return that request.
+    Raises StopIteration with the member's result when it finishes."""
+    if keys is None:
+        keys = next(member)
+    while True:
+        keys = meter.answer(member, keys)
+        if meter.count and meter.count % TURN_CALLS == 0:
+            return keys
 
 
 def run_portfolio(
@@ -107,11 +92,10 @@ def run_portfolio(
     `max_evals`, when given, applies per solver.  With `q_control` each
     solver gets its own parameter controller built from its tuned values.
 
-    Member 0 runs on the calling thread; the others run on daemon threads,
-    so an interrupted run leaves no waiting thread that keeps the process
-    alive.  A lone solver's error propagates as it is.  With several
-    members, a failing member leaves the rotation, the others finish, and
-    the first failure in member order is raised as a RuntimeError.
+    A lone solver's error propagates as it is.  With several members, a
+    member whose decode or own code raises an Exception leaves the rotation,
+    the others finish, and the first failure in member order is raised as a
+    RuntimeError.  Any other exception ends the run at once.
     """
     methods = list(methods)
     if not methods:
@@ -124,40 +108,29 @@ def run_portfolio(
     init_rng = RngStream(seed, 0)
     pool = init_pool(pool_capacity, decoder, init_rng, budget=budget)
 
-    running: list[_Member] = []
-    results: dict[str, RunResult] = {}
-    errors: dict[str, Exception] = {}
-
-    def make_member(index, name):
+    running = deque()  # (name, meter, generator), the turn holder first
+    pending = {}  # name -> the request a member left unserved at its last turn
+    for index, name in enumerate(methods):
         rng = RngStream(seed, index + 1)
         params = params_by_method[name]
         controller = QController(control_grid(name, params), rng) if q_control else None
-        member = _Member(decoder, budget, running)
-        running.append(member)
+        meter = Meter(decoder, budget)
+        running.append((name, meter, _member(name, meter, params, pool, rng, controller)))
 
-        def play():
-            if index:  # every member but the first waits for its first turn
-                member.gate.acquire()
-            try:
-                results[name] = SOLVERS[name](member, params, pool, rng, controller=controller)
-            except Exception as exc:  # noqa: BLE001 - reported once all have ended
-                if len(methods) == 1:
-                    raise
-                errors[name] = exc
-            member.leave()
-
-        return play
-
-    plays = [make_member(i, name) for i, name in enumerate(methods)]
-    threads = [
-        threading.Thread(target=play, name=f"solver-{name}", daemon=True)
-        for name, play in zip(methods[1:], plays[1:])
-    ]
-    for t in threads:
-        t.start()
-    plays[0]()
-    for t in threads:
-        t.join()
+    results: dict[str, RunResult] = {}
+    errors: dict[str, Exception] = {}
+    while running:
+        name, meter, member = running.popleft()
+        try:
+            pending[name] = _turn(meter, member, pending.get(name))
+        except StopIteration as stop:
+            results[name] = stop.value
+        except Exception as exc:  # noqa: BLE001 - reported once all have ended
+            if len(methods) == 1:
+                raise
+            errors[name] = exc
+        else:
+            running.append((name, meter, member))
 
     failed = [name for name in methods if name in errors]
     if failed:

@@ -3,7 +3,8 @@ local search, variable neighborhood search, and large neighborhood search.
 
 All drivers share one contract: start from a random vector, improve it until
 the budget expires, offer every strict improvement of their own best to the
-shared pool, and return a RunResult.  Each outer iteration takes its
+shared pool, and return a RunResult.  Each driver is a generator that asks
+for its decodes with `fit = yield keys` (see `core.Meter`).  Each outer iteration takes its
 parameter record from the run context (`SolverRun.iterations`), which
 consults the parameter controller when one is attached.
 """
@@ -17,7 +18,7 @@ from ..local_search import BudgetTicker, best_key_value, farey_draws, rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
 from ..variation import ShakeParams, shake
-from .base import RunResult, SolverRun, cooled, metropolis_accept
+from .base import SolverRun, cooled, metropolis_accept
 
 
 def _shake_range(beta_min: float, beta_max: float) -> ShakeParams:
@@ -32,11 +33,11 @@ def run_sa(
     pool: ElitePool | None,
     rng: RngStream,
     controller: QController | None = None,
-) -> RunResult:
+):
     """Metropolis sampling over shaken neighbors with geometric cooling; the
     incumbent is polished by RVND before every temperature drop."""
     run = SolverRun(meter, params, pool, controller)
-    keys, fit = run.random_member(rng)
+    keys, fit = yield from run.random_member(rng)
 
     temp = params.t0
     for p in run.iterations():
@@ -45,10 +46,10 @@ def run_sa(
             if run.expired():
                 break
             cand = shake(keys, betas, rng)
-            cand_fit = run.evaluate(cand)
+            cand_fit = yield from run.fitness(cand)
             if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
                 keys, fit = cand, cand_fit
-        keys, fit = run.keep(*rvnd(keys, meter, pool, rng, fit))
+        keys, fit = run.keep(*(yield from rvnd(keys, meter, pool, rng, fit)))
         temp = cooled(temp, p)
     return run.result("sa")
 
@@ -59,15 +60,15 @@ def run_ils(
     pool: ElitePool | None,
     rng: RngStream,
     controller: QController | None = None,
-) -> RunResult:
+):
     """Shake the best-so-far, descend with RVND, keep the result when it
     improves."""
     run = SolverRun(meter, params, pool, controller)
-    incumbent, fit = run.random_member(rng)
+    incumbent, fit = yield from run.random_member(rng)
 
     for p in run.iterations():
         cand = shake(incumbent, _shake_range(p.beta_min, p.beta_max), rng)
-        cand, cand_fit = run.keep(*rvnd(cand, meter, pool, rng))
+        cand, cand_fit = run.keep(*(yield from rvnd(cand, meter, pool, rng)))
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
     return run.result("ils")
@@ -79,18 +80,18 @@ def run_vns(
     pool: ElitePool | None,
     rng: RngStream,
     controller: QController | None = None,
-) -> RunResult:
+):
     """Shaking intensity grows with the neighborhood index k (rate k *
     beta_min); improvement resets k to 1, failure advances it, and k wraps
     after k_max."""
     run = SolverRun(meter, params, pool, controller)
-    incumbent, fit = run.random_member(rng)
+    incumbent, fit = yield from run.random_member(rng)
 
     k = 1
     for p in run.iterations():
         beta = min(1.0, k * p.beta_min)
         cand = shake(incumbent, ShakeParams(beta, beta), rng)
-        cand, cand_fit = run.keep(*rvnd(cand, meter, pool, rng))
+        cand, cand_fit = run.keep(*(yield from rvnd(cand, meter, pool, rng)))
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
             k = 1
@@ -127,7 +128,7 @@ def _construct(incumbent, spacing, gamma, meter, rng):
         values = {}
         fits = {}
         for i in unfixed:
-            values[i], fits[i] = best_key_value(
+            values[i], fits[i] = yield from best_key_value(
                 work, i, _grid_draws(spacing, rng), ticker)
         objs = [fits[i].objective for i in unfixed]
         g_best, g_worst = min(objs), max(objs)
@@ -146,7 +147,7 @@ def run_grasp(
     pool: ElitePool | None,
     rng: RngStream,
     controller: QController | None = None,
-) -> RunResult:
+):
     """Semi-greedy construction over a shrinking grid followed by RVND, with
     Metropolis acceptance of the new incumbent.
 
@@ -154,16 +155,16 @@ def run_grasp(
     iteration, and resets to hs once it would pass he.
     """
     run = SolverRun(meter, params, pool, controller)
-    incumbent, fit = run.random_member(rng)
+    incumbent, fit = yield from run.random_member(rng)
 
     spacing = params.hs
     temp = params.t0
     for p in run.iterations():
         gamma = rng.random()
-        cand, cand_fit = _construct(incumbent, spacing, gamma, meter, rng)
+        cand, cand_fit = yield from _construct(incumbent, spacing, gamma, meter, rng)
         if cand is None:
             break
-        cand, cand_fit = run.keep(*rvnd(cand, meter, pool, rng, cand_fit))
+        cand, cand_fit = run.keep(*(yield from rvnd(cand, meter, pool, rng, cand_fit)))
         improved = cand_fit.objective < fit.objective
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             incumbent, fit = cand, cand_fit
@@ -186,9 +187,9 @@ def lns_repair(
     the best of one draw per Farey interval."""
     ticker = BudgetTicker(meter)
     work = np.array(keys, copy=True)
-    fit = fitness if fitness is not None else meter.evaluate(work)
+    fit = fitness if fitness is not None else (yield work)
     for idx in rng.gen.permutation(np.asarray(removed)):
-        work[idx], fit = best_key_value(work, idx, farey_draws(rng), ticker)
+        work[idx], fit = yield from best_key_value(work, idx, farey_draws(rng), ticker)
         if ticker.fired:
             break
     return work, fit
@@ -200,12 +201,12 @@ def run_lns(
     pool: ElitePool | None,
     rng: RngStream,
     controller: QController | None = None,
-) -> RunResult:
+):
     """Destroy a random share of the keys, repair them Farey-greedily,
     accept by the Metropolis rule, and polish every new global best with
     RVND."""
     run = SolverRun(meter, params, pool, controller)
-    keys, fit = run.random_member(rng)
+    keys, fit = yield from run.random_member(rng)
 
     n = meter.dimension
     temp = params.t0
@@ -214,9 +215,9 @@ def run_lns(
         beta = rng.uniform(lo, hi) if hi > lo else lo
         count = min(n, max(1, math.ceil(beta * n)))
         removed = rng.choice(n, size=count, replace=False)
-        cand, cand_fit = lns_repair(keys, removed, meter, rng, fit)
+        cand, cand_fit = yield from lns_repair(keys, removed, meter, rng, fit)
         if run.consider(cand, cand_fit):
-            cand, cand_fit = run.keep(*rvnd(cand, meter, pool, rng, cand_fit))
+            cand, cand_fit = run.keep(*(yield from rvnd(cand, meter, pool, rng, cand_fit)))
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             keys, fit = cand, cand_fit
         temp = cooled(temp, p)

@@ -121,17 +121,17 @@ def test_criterion_03_descent_suite(tiny_decoders):
             base = decoder.decode(keys)[0]
 
             for search in (swap_ls, farey_ls, mirror_ls):
-                _, fit = search(keys, meter, rng, fitness=base)
+                _, fit = meter.run(search(keys, meter, rng, fitness=base))
                 if fit.objective > base.objective:
                     violations += 1
 
             k2, f2 = pool.sample(rng)
             k3, f3 = pool.sample(rng)
-            _, fit = nelder_mead_ls(keys, k2, k3, meter, rng, (base, f2, f3))
+            _, fit = meter.run(nelder_mead_ls(keys, k2, k3, meter, rng, (base, f2, f3)))
             if fit.objective > min(base.objective, f2.objective, f3.objective):
                 violations += 1
 
-            _, fit = rvnd(keys, meter, pool, rng, fitness=base)
+            _, fit = meter.run(rvnd(keys, meter, pool, rng, fitness=base))
             if fit.objective > base.objective:
                 violations += 1
     elapsed = time.perf_counter() - start
@@ -186,7 +186,7 @@ def test_criterion_04_operator_closure_fuzz():
         keys = random_vector(8, rng)
         count = rng.integers(1, 9)
         removed = rng.choice(8, size=count, replace=False)
-        out, _ = lns_repair(keys, removed, flat, rng, Fitness.of(0.0))
+        out, _ = flat.run(lns_repair(keys, removed, flat, rng, Fitness.of(0.0)))
         assert in_range(out)
         checked += 1
 
@@ -434,9 +434,8 @@ def test_criterion_11_portfolio_dominance(acceptance_instances):
             for name in SOLVER_NAMES:
                 budget = TimeBudget(seconds=2.0)
                 pool = init_pool(20, decoder, RngStream(seed, 0), budget=budget)
-                solo = SOLVERS[name](
-                    Meter(decoder, budget), params[name], pool, RngStream(seed, 1),
-                )
+                meter = Meter(decoder, budget)
+                solo = meter.run(SOLVERS[name](meter, params[name], pool, RngStream(seed, 1)))
                 assert close_enough(portfolio_best, solo.best_fitness.objective), (
                     f"{problem}[{idx}] {name}: portfolio {portfolio_best} "
                     f"vs solo {solo.best_fitness.objective}"

@@ -178,3 +178,29 @@ def test_time_budget_rejects_bad_limits():
         TimeBudget(seconds=0)
     with pytest.raises(ValueError):
         TimeBudget(max_evals=0)
+
+
+def test_run_answers_each_request_and_returns_the_search_result():
+    def search(n):
+        total = 0.0
+        for i in range(n):
+            fit = yield np.full(4, i / n)
+            total += fit.objective
+        return total
+
+    meter = Meter(ConstantDecoder(4, value=2.0))
+    assert meter.run(search(5)) == 10.0
+    assert meter.count == 5
+
+
+def test_run_throws_a_decode_error_into_the_search_that_asked():
+    def search():
+        try:
+            yield np.zeros(5)
+        except DimensionError:
+            fit = yield np.zeros(4)
+            return fit.objective
+
+    meter = Meter(ConstantDecoder(4, value=3.0))
+    assert meter.run(search()) == 3.0
+    assert meter.count == 1

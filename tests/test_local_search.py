@@ -94,14 +94,16 @@ def test_draw_in_interval_is_strictly_inside():
 def test_swap_ls_single_key_is_identity():
     rng = RngStream(2, 0)
     keys = np.array([0.4])
-    out, _ = swap_ls(keys, Meter(ConstantDecoder(1)), rng)
+    meter = Meter(ConstantDecoder(1))
+    out, _ = meter.run(swap_ls(keys, meter, rng))
     assert np.array_equal(out, keys)
 
 
 def test_swap_ls_identical_keys_unchanged(tiny_decoders):
     decoder = tiny_decoders["tsp"]
     keys = np.full(decoder.dimension, 0.5)
-    out, _ = swap_ls(keys, Meter(decoder), RngStream(3, 0))
+    meter = Meter(decoder)
+    out, _ = meter.run(swap_ls(keys, meter, RngStream(3, 0)))
     assert np.array_equal(out, keys)
 
 
@@ -110,14 +112,16 @@ def test_swap_ls_descends_from_example_tour():
     decoder = TspDecoder(TspInstance(dist))
     keys = np.array([0.085, 0.277, 0.149, 0.332, 0.148])
     start_cost = decoder.decode(keys)[0].objective
-    out, fit = swap_ls(keys, Meter(decoder), RngStream(4, 0))
+    meter = Meter(decoder)
+    out, fit = meter.run(swap_ls(keys, meter, RngStream(4, 0)))
     assert fit.objective <= start_cost
 
 
 def test_farey_ls_constant_decoder_returns_input():
     rng = RngStream(5, 0)
     keys = random_vector(6, rng)
-    out, _ = farey_ls(keys, Meter(ConstantDecoder(6)), rng)
+    meter = Meter(ConstantDecoder(6))
+    out, _ = meter.run(farey_ls(keys, meter, rng))
     assert np.array_equal(out, keys)
 
 
@@ -129,7 +133,7 @@ def test_farey_ls_candidate_count_and_intervals():
     rng = RngStream(6, 0)
     keys = random_vector(n, rng)
     meter = Meter(decoder)
-    farey_ls(keys, meter, rng, fitness=Fitness.of(0.0))
+    meter.run(farey_ls(keys, meter, rng, fitness=Fitness.of(0.0)))
     assert meter.count == 18 * n
     assert len(decoder.seen) == 18 * n
     for i, candidate_vec in enumerate(decoder.seen):
@@ -143,7 +147,8 @@ def test_farey_ls_candidate_count_and_intervals():
 def test_mirror_ls_symmetric_decoder_returns_input():
     rng = RngStream(7, 0)
     keys = 0.1 + 0.8 * random_vector(8, rng)
-    out, _ = mirror_ls(keys, Meter(FoldSymmetricDecoder(8)), rng)
+    meter = Meter(FoldSymmetricDecoder(8))
+    out, _ = meter.run(mirror_ls(keys, meter, rng))
     assert np.array_equal(out, keys)
 
 
@@ -152,7 +157,7 @@ def test_mirror_ls_eval_count_without_improvement():
     rng = RngStream(8, 0)
     keys = random_vector(n, rng)
     meter = Meter(ConstantDecoder(n))
-    mirror_ls(keys, meter, rng, fitness=Fitness.of(0.0))
+    meter.run(mirror_ls(keys, meter, rng, fitness=Fitness.of(0.0)))
     assert meter.count == n
 
 
@@ -162,7 +167,8 @@ def test_mirror_ls_descends(tiny_decoders):
     for _ in range(50):
         keys = random_vector(decoder.dimension, rng)
         start = decoder.decode(keys)[0].objective
-        _, fit = mirror_ls(keys, Meter(decoder), rng)
+        meter = Meter(decoder)
+        _, fit = meter.run(mirror_ls(keys, meter, rng))
         assert fit.objective <= start
 
 
@@ -174,9 +180,8 @@ def test_nelder_mead_iteration_budget(n, expected):
 def test_nelder_mead_degenerate_simplex_is_identity():
     rng = RngStream(10, 0)
     keys = random_vector(7, rng)
-    out, _ = nelder_mead_ls(
-        keys, keys.copy(), keys.copy(), Meter(ConstantDecoder(7)), rng, mu=0.0
-    )
+    meter = Meter(ConstantDecoder(7))
+    out, _ = meter.run(nelder_mead_ls(keys, keys.copy(), keys.copy(), meter, rng, mu=0.0))
     assert np.array_equal(out, keys)
 
 
@@ -186,7 +191,8 @@ def test_nelder_mead_returns_best_vertex(tiny_decoders):
     for _ in range(500):
         triple = [random_vector(decoder.dimension, rng) for _ in range(3)]
         fits = [decoder.decode(k)[0] for k in triple]
-        out, fit = nelder_mead_ls(triple[0], triple[1], triple[2], Meter(decoder), rng)
+        meter = Meter(decoder)
+        out, fit = meter.run(nelder_mead_ls(triple[0], triple[1], triple[2], meter, rng))
         assert fit.objective <= min(f.objective for f in fits)
         assert np.all(out >= 0.0) and np.all(out < 1.0)
 
@@ -194,7 +200,8 @@ def test_nelder_mead_returns_best_vertex(tiny_decoders):
 def test_rvnd_constant_decoder_fixed_point():
     rng = RngStream(12, 0)
     keys = random_vector(6, rng)
-    out, _ = rvnd(keys, Meter(ConstantDecoder(6)), None, rng)
+    meter = Meter(ConstantDecoder(6))
+    out, _ = meter.run(rvnd(keys, meter, None, rng))
     assert np.array_equal(out, keys)
 
 
@@ -205,7 +212,8 @@ def test_rvnd_descends(tiny_decoders):
     for _ in range(50):
         keys = random_vector(decoder.dimension, rng)
         start = decoder.decode(keys)[0].objective
-        out, fit = rvnd(keys, Meter(decoder), pool, rng)
+        meter = Meter(decoder)
+        out, fit = meter.run(rvnd(keys, meter, pool, rng))
         assert fit.objective <= start
         assert np.all(out >= 0.0) and np.all(out < 1.0)
 
@@ -221,7 +229,8 @@ def test_rvnd_reaches_brute_force_optimum_often():
     hits = 0
     for _ in range(50):
         keys = random_vector(decoder.dimension, rng)
-        _, fit = rvnd(keys, Meter(decoder), pool, rng)
+        meter = Meter(decoder)
+        _, fit = meter.run(rvnd(keys, meter, pool, rng))
         if fit.objective <= optimum + 1e-9:
             hits += 1
     assert hits >= 40
@@ -236,11 +245,11 @@ def test_swap_ls_fixed_points_stay_fixed(tiny_decoders):
     checked = 0
     for _ in range(20):
         keys = random_vector(meter.dimension, rng)
-        fixed, fit = swap_ls(keys, meter, rng)
+        fixed, fit = meter.run(swap_ls(keys, meter, rng))
         while not np.array_equal(fixed, keys):
             keys = fixed
-            fixed, fit = swap_ls(keys, meter, rng)
-        again, fit_again = swap_ls(fixed, meter, rng)
+            fixed, fit = meter.run(swap_ls(keys, meter, rng))
+        again, fit_again = meter.run(swap_ls(fixed, meter, rng))
         assert np.array_equal(again, fixed) and fit_again.objective == fit.objective
         checked += 1
     assert checked == 20
@@ -251,7 +260,7 @@ def test_local_searches_respect_eval_budget(tiny_decoders):
     rng = RngStream(16, 0)
     keys = random_vector(decoder.dimension, rng)
     meter = Meter(decoder, TimeBudget(max_evals=70))
-    out, fit = rvnd(keys, meter, None, rng)
+    out, fit = meter.run(rvnd(keys, meter, None, rng))
     assert meter.count <= 70 + 64  # one check window of slack
     assert fit.objective <= decoder.decode(keys)[0].objective
 
@@ -259,7 +268,7 @@ def test_local_searches_respect_eval_budget(tiny_decoders):
 def test_best_key_value_returns_first_of_tied_minima_and_restores_work():
     work = np.array([0.5, 0.1, 0.2])
     ticker = BudgetTicker(Meter(DistanceToHalfDecoder(3)))
-    v, fit = best_key_value(work, 1, (0.9, 0.25, 0.75, 0.8), ticker)
+    v, fit = ticker.meter.run(best_key_value(work, 1, (0.9, 0.25, 0.75, 0.8), ticker))
     assert v == 0.25 and fit.objective == 0.25  # 0.75 ties and comes later
     assert np.array_equal(work, [0.5, 0.1, 0.2])
     assert ticker.meter.count == 4 and not ticker.fired
@@ -270,7 +279,7 @@ def test_best_key_value_stops_at_the_budget_poll_and_draws_no_more():
     ticker = BudgetTicker(meter)
     rng = RngStream(21, 0)
     values = (rng.random() for _ in range(3 * BUDGET_CHECK_EVERY))
-    best_key_value(np.zeros(2), 0, values, ticker)
+    meter.run(best_key_value(np.zeros(2), 0, values, ticker))
     assert ticker.fired and meter.count == BUDGET_CHECK_EVERY
     twin = RngStream(21, 0)
     for _ in range(BUDGET_CHECK_EVERY):
@@ -297,8 +306,9 @@ def test_rvnd_and_drivers_look_up_searches_at_call_time(tiny_decoders, monkeypat
     count(trajectory, "rvnd")
     decoder = tiny_decoders["pmedian"]
     rng = RngStream(17, 0)
-    local_search.rvnd(random_vector(decoder.dimension, rng), Meter(decoder), None, rng)
+    meter = Meter(decoder)
+    meter.run(local_search.rvnd(random_vector(decoder.dimension, rng), meter, None, rng))
     assert calls.keys() >= {"swap_ls", "farey_ls", "mirror_ls"}
-    trajectory.run_ils(Meter(decoder, TimeBudget(max_evals=200)), defaults_for("pmedian")["ils"],
-                       None, RngStream(17, 1))
+    meter = Meter(decoder, TimeBudget(max_evals=200))
+    meter.run(trajectory.run_ils(meter, defaults_for("pmedian")["ils"], None, RngStream(17, 1)))
     assert calls.get("rvnd", 0) >= 1

@@ -138,6 +138,6 @@ def test_single_member_brkga_stops_under_an_evaluation_budget(tiny_decoders, q_c
     params = BrkgaParams(p=1)
     rng = RngStream(3, 1)
     controller = QController(control_grid("brkga", params), rng) if q_control else None
-    result = run_brkga(Meter(decoder, TimeBudget(max_evals=50)), params, None, rng,
-                       controller=controller)
+    meter = Meter(decoder, TimeBudget(max_evals=50))
+    result = meter.run(run_brkga(meter, params, None, rng, controller=controller))
     assert result.evaluations >= 1  # returned instead of spinning

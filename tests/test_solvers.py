@@ -1,14 +1,12 @@
 import itertools
 import math
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
 import instgen
-from keyopt.core import Decoder, Meter, RngStream, TimeBudget, random_vector
+from keyopt.core import Decoder, DimensionError, Meter, RngStream, TimeBudget, random_vector
 from keyopt.pool import init_pool
 from keyopt.problems import PMedianDecoder, brute_force_pmedian
 from keyopt.qlearning import QController
@@ -41,7 +39,8 @@ def run_one(name, decoder, seed, seconds=None, max_evals=None, controller=None):
     budget = TimeBudget(seconds=seconds, max_evals=max_evals)
     pool = init_pool(10, decoder, RngStream(seed, 0), budget=budget)
     rng = RngStream(seed, 1)
-    return SOLVERS[name](Meter(decoder, budget), params, pool, rng, controller=controller)
+    meter = Meter(decoder, budget)
+    return meter.run(SOLVERS[name](meter, params, pool, rng, controller=controller))
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
@@ -80,7 +79,8 @@ def test_solver_improvements_reach_pool(oracle_case):
     params = defaults_for("pmedian")["ils"]
     budget = TimeBudget(max_evals=3000)
     pool = init_pool(10, decoder, RngStream(13, 0), budget=budget)
-    result = SOLVERS["ils"](Meter(decoder, budget), params, pool, RngStream(13, 1))
+    meter = Meter(decoder, budget)
+    result = meter.run(SOLVERS["ils"](meter, params, pool, RngStream(13, 1)))
     _, pool_best = pool.best()
     assert pool_best.objective <= result.best_fitness.objective + 1e-12
 
@@ -126,7 +126,8 @@ def test_lns_repair_keeps_keys_in_range(oracle_case):
     for _ in range(50):
         keys = random_vector(decoder.dimension, rng)
         removed = rng.choice(decoder.dimension, size=1, replace=False)
-        repaired, fit = lns_repair(keys, removed, Meter(decoder), rng)
+        meter = Meter(decoder)
+        repaired, fit = meter.run(lns_repair(keys, removed, meter, rng))
         assert np.all(repaired >= 0.0) and np.all(repaired < 1.0)
         assert fit.objective == decoder.decode(repaired)[0].objective
 
@@ -205,7 +206,8 @@ def test_solver_with_controller_stays_functional(oracle_case):
     pool = init_pool(10, decoder, RngStream(31, 0), budget=budget)
     rng = RngStream(31, 1)
     controller = QController(control_grid("sa", params), rng)
-    result = run_sa(Meter(decoder, budget), params, pool, rng, controller=controller)
+    meter = Meter(decoder, budget)
+    result = meter.run(run_sa(meter, params, pool, rng, controller=controller))
     assert result.best_fitness.objective < math.inf
     assert controller.qtable  # the controller actually learned something
 
@@ -260,7 +262,7 @@ def bounded(call, timeout=60.0):
     def run():
         try:
             out["value"] = call()
-        except Exception as exc:  # noqa: BLE001 - raised again below
+        except BaseException as exc:  # noqa: BLE001 - raised again below
             out["error"] = exc
 
     caller = threading.Thread(target=run, daemon=True)
@@ -314,68 +316,109 @@ def test_every_decoder_call_of_a_run_is_on_its_meter(oracle_case):
         assert decoder.calls == init_calls + reported, methods
 
 
-class OneAtATime(Decoder):
-    """Counts decodes in flight, yielding the interpreter mid-decode, and
-    records the calling thread of every call."""
+class Interrupting(Decoder):
+    """Raises KeyboardInterrupt on its `at`-th call, as a Ctrl-C would."""
+
+    def __init__(self, inner, at):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.at = at
+        self.calls = 0
+
+    def decode(self, keys):
+        self.calls += 1
+        if self.calls == self.at:
+            raise KeyboardInterrupt
+        return self.inner.decode(keys)
+
+
+@pytest.mark.parametrize("member", [0, 1], ids=["first-member", "second-member"])
+def test_portfolio_interrupted_in_a_turn_ends_at_once_and_leaves_no_thread(oracle_case, member):
+    params = defaults_for("pmedian")
+    seed, max_evals = 67, 300
+    counting = Counting(oracle_case[0])
+    init_pool(10, counting, RngStream(seed, 0), budget=TimeBudget(max_evals=max_evals))
+    # A call inside the member's first turn.
+    decoder = Interrupting(oracle_case[0], at=counting.calls + member * portfolio.TURN_CALLS + 10)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        bounded(lambda: run_portfolio(decoder, list(SOLVER_NAMES), params, seed=seed,
+                                      max_evals=max_evals, pool_capacity=10))
+    assert decoder.calls == decoder.at
+    assert threading.active_count() == threads
+
+
+class Tagged(np.ndarray):
+    """A key vector that names the member that asked for its decode."""
+
+
+def tagging(name, solve):
+    """`solve` with every request it yields tagged with `name`."""
+    def run(*args, **kwargs):
+        search = solve(*args, **kwargs)
+        keys = next(search)
+        while True:
+            request = keys.view(Tagged)
+            request.member = name
+            try:
+                keys = search.send((yield request))
+            except StopIteration as stop:
+                return stop.value
+    return run
+
+
+class Recording(Decoder):
+    """Records the thread and the asking member of every call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dimension = inner.dimension
-        self.in_flight = 0
-        self.most_in_flight = 0
-        self.callers = []
+        self.threads = []
+        self.members = []
 
     def decode(self, keys):
-        self.in_flight += 1
-        self.most_in_flight = max(self.most_in_flight, self.in_flight)
-        time.sleep(0)
-        self.callers.append(threading.get_ident())
-        out = self.inner.decode(keys)
-        self.in_flight -= 1
-        return out
+        self.threads.append(threading.get_ident())
+        self.members.append(getattr(keys, "member", None))  # None: pool initialisation
+        return self.inner.decode(keys.view(np.ndarray))
 
 
 def test_portfolio_members_decode_one_at_a_time_in_turns(oracle_case, monkeypatch):
-    decoder = OneAtATime(oracle_case[0])
-    real_init = portfolio.init_pool
-
-    def init_then_record(*args, **kwargs):
-        pool = real_init(*args, **kwargs)
-        decoder.callers.clear()  # pool initialisation is nobody's turn
-        return pool
-
-    monkeypatch.setattr(portfolio, "init_pool", init_then_record)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        bounded(lambda: run_portfolio(decoder, list(SOLVER_NAMES), defaults_for("pmedian"),
-                                      seed=53, max_evals=300, pool_capacity=10))
-    finally:
-        sys.setswitchinterval(switch)
-    assert decoder.most_in_flight == 1
-    turns = [(caller, len(list(calls))) for caller, calls in itertools.groupby(decoder.callers)]
-    assert len({caller for caller, _ in turns[:len(SOLVER_NAMES)]}) == len(SOLVER_NAMES)
-    for member in {caller for caller, _ in turns}:
-        lengths = [n for caller, n in turns if caller == member]
+    decoder = Recording(oracle_case[0])
+    for name in SOLVER_NAMES:
+        monkeypatch.setitem(SOLVERS, name, tagging(name, SOLVERS[name]))
+    run_portfolio(decoder, list(SOLVER_NAMES), defaults_for("pmedian"),
+                  seed=53, max_evals=300, pool_capacity=10)
+    assert set(decoder.threads) == {threading.get_ident()}
+    members = [m for m in decoder.members if m is not None]
+    turns = [(member, len(list(calls))) for member, calls in itertools.groupby(members)]
+    assert len({member for member, _ in turns[:len(SOLVER_NAMES)]}) == len(SOLVER_NAMES)
+    for member in SOLVER_NAMES:
+        lengths = [n for m, n in turns if m == member]
         assert lengths[:-1] == [portfolio.TURN_CALLS] * (len(lengths) - 1)
 
 
-@pytest.mark.parametrize("failing", ["brkga", "lns"])  # the calling thread's member, the last
+@pytest.mark.parametrize("failing,cause", [
+    pytest.param("brkga", ZeroDivisionError, id="brkga"),  # the first member
+    pytest.param("lns", ZeroDivisionError, id="lns"),  # the last
+    pytest.param("sa", DimensionError, id="sa-wrong-length"),
+])
 def test_portfolio_member_failure_names_it_after_the_others_finish(
-        oracle_case, monkeypatch, failing):
+        oracle_case, monkeypatch, failing, cause):
     decoder, _ = oracle_case
     finished = []
 
     def recorded(name, solve):
         def run(*args, **kwargs):
-            result = solve(*args, **kwargs)
+            result = yield from solve(*args, **kwargs)
             finished.append(name)
             return result
         return run
 
     def broken(meter, params, pool, rng, controller=None):
         for _ in range(2 * portfolio.TURN_CALLS):
-            meter.evaluate(random_vector(meter.dimension, rng))
+            yield random_vector(meter.dimension, rng)
+        if cause is DimensionError:
+            yield random_vector(meter.dimension + 1, rng)
         raise ZeroDivisionError("solver bug")
 
     for name in SOLVER_NAMES:
@@ -384,5 +427,5 @@ def test_portfolio_member_failure_names_it_after_the_others_finish(
     with pytest.raises(RuntimeError, match=f"^solver {failing} failed$") as raised:
         bounded(lambda: run_portfolio(decoder, list(SOLVER_NAMES), defaults_for("pmedian"),
                                       seed=59, max_evals=300, pool_capacity=10))
-    assert isinstance(raised.value.__cause__, ZeroDivisionError)
+    assert isinstance(raised.value.__cause__, cause)
     assert sorted(finished) == sorted(set(SOLVER_NAMES) - {failing})
