@@ -129,11 +129,8 @@ class Meter:
     against the decoder's dimension, counted, and spent against the
     budget.  Without a budget it never expires.
 
-    Searches and drivers do not decode themselves.  They are generators
-    that ask for a decode with `fit = yield keys` (nested searches with
-    `yield from`) and return their result; `run` drives one to its end,
-    and the portfolio interleaves several.  Either way, each request is
-    answered by `answer`."""
+    Searches ask for their decodes with `fit = yield keys`: `run` drives
+    one search to its end, and `answer` serves one request of it."""
 
     def __init__(self, decoder: Decoder, budget: "TimeBudget | None" = None):
         self.dimension = decoder.dimension

@@ -72,7 +72,8 @@ def farey_draws(rng: RngStream):
     return (draw_in_interval(rng, lo, hi) for lo, hi in FAREY_GAPS)
 
 
-def best_key_value(work: np.ndarray, idx: int, values, ticker: BudgetTicker):
+def best_key_value(work: np.ndarray, idx: int, values,
+                   ticker: BudgetTicker):
     """Decode `work` with key `idx` set to each of `values` in turn and
     return (value, fitness) of the first minimum, with `work[idx]` restored.
 
@@ -93,8 +94,12 @@ def best_key_value(work: np.ndarray, idx: int, values, ticker: BudgetTicker):
     return best_v, best_fit
 
 
-def swap_ls(keys: np.ndarray, meter: Meter, rng: RngStream,
-            fitness: Fitness | None = None):
+def swap_ls(
+    keys: np.ndarray,
+    meter: Meter,
+    rng: RngStream,
+    fitness: Fitness | None = None,
+):
     """First-improvement scan over all unordered key pairs, visited in a
     freshly randomized index order; an improving swap is kept and the scan
     continues from the new incumbent."""
@@ -137,15 +142,23 @@ def _key_scan(keys, meter, rng, fitness, candidates):
     return best, best_fit
 
 
-def farey_ls(keys: np.ndarray, meter: Meter, rng: RngStream,
-             fitness: Fitness | None = None):
+def farey_ls(
+    keys: np.ndarray,
+    meter: Meter,
+    rng: RngStream,
+    fitness: Fitness | None = None,
+):
     """For each key in randomized order, try one candidate value drawn from
     each of the 18 Farey intervals; first improvement is kept."""
     return _key_scan(keys, meter, rng, fitness, lambda best, idx: farey_draws(rng))
 
 
-def mirror_ls(keys: np.ndarray, meter: Meter, rng: RngStream,
-              fitness: Fitness | None = None):
+def mirror_ls(
+    keys: np.ndarray,
+    meter: Meter,
+    rng: RngStream,
+    fitness: Fitness | None = None,
+):
     """Test the complement of each key in randomized order, first
     improvement kept."""
     return _key_scan(keys, meter, rng, fitness, lambda best, idx: (mirror_key(best[idx]),))
@@ -230,8 +243,13 @@ def nelder_mead_ls(
     return simplex[0], fvals[0]
 
 
-def rvnd(keys: np.ndarray, meter: Meter, pool, rng: RngStream,
-         fitness: Fitness | None = None):
+def rvnd(
+    keys: np.ndarray,
+    meter: Meter,
+    pool,
+    rng: RngStream,
+    fitness: Fitness | None = None,
+):
     """Randomized variable neighborhood descent.
 
     Picks neighborhoods at random from the active list; an improvement

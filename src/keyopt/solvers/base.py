@@ -41,9 +41,8 @@ class SolverRun:
     budget), its best-so-far with the pool offers, and its parameter
     controller.
 
-    Drivers are generators, like the searches they call: `fitness` and
-    `random_member` ask for their decodes with `yield` and are called with
-    `yield from`.
+    `fitness` and `random_member` ask for their decodes with `yield`, so
+    drivers call them with `yield from`.
 
     Every strict improvement of the best is appended to the trace,
     timestamped with the meter's clock, and offered to the shared elite

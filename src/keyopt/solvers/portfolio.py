@@ -58,22 +58,19 @@ def _merged_trace(results):
     return merged
 
 
-def _member(name, meter, params, pool, rng, controller):
-    # The solver is looked up and started on the member's first turn.
-    return (yield from SOLVERS[name](meter, params, pool, rng, controller=controller))
-
-
-def _turn(meter: Meter, member, keys):
-    """Serve `member`'s requests, starting with `keys`, its request left
-    pending at its last turn (None before its first turn), until it asks
-    for the first call of a new block of TURN_CALLS; return that request.
-    Raises StopIteration with the member's result when it finishes."""
-    if keys is None:
+def _turns(name, meter: Meter, params, pool, rng, controller):
+    """One member's turns: start its solver on the first turn, answer its
+    requests, and pause before each request that would start a new block
+    of TURN_CALLS decoder calls.  Returns the solver's result."""
+    member = SOLVERS[name](meter, params, pool, rng, controller=controller)
+    try:
         keys = next(member)
-    while True:
-        keys = meter.answer(member, keys)
-        if meter.count and meter.count % TURN_CALLS == 0:
-            return keys
+        while True:
+            if meter.count and meter.count % TURN_CALLS == 0:
+                yield
+            keys = meter.answer(member, keys)
+    except StopIteration as stop:
+        return stop.value
 
 
 def run_portfolio(
@@ -108,21 +105,19 @@ def run_portfolio(
     init_rng = RngStream(seed, 0)
     pool = init_pool(pool_capacity, decoder, init_rng, budget=budget)
 
-    running = deque()  # (name, meter, generator), the turn holder first
-    pending = {}  # name -> the request a member left unserved at its last turn
+    running = deque()  # (name, turns), the turn holder first
     for index, name in enumerate(methods):
         rng = RngStream(seed, index + 1)
         params = params_by_method[name]
         controller = QController(control_grid(name, params), rng) if q_control else None
-        meter = Meter(decoder, budget)
-        running.append((name, meter, _member(name, meter, params, pool, rng, controller)))
+        running.append((name, _turns(name, Meter(decoder, budget), params, pool, rng, controller)))
 
     results: dict[str, RunResult] = {}
     errors: dict[str, Exception] = {}
     while running:
-        name, meter, member = running.popleft()
+        name, turns = running.popleft()
         try:
-            pending[name] = _turn(meter, member, pending.get(name))
+            next(turns)
         except StopIteration as stop:
             results[name] = stop.value
         except Exception as exc:  # noqa: BLE001 - reported once all have ended
@@ -130,7 +125,7 @@ def run_portfolio(
                 raise
             errors[name] = exc
         else:
-            running.append((name, meter, member))
+            running.append((name, turns))
 
     failed = [name for name in methods if name in errors]
     if failed:
