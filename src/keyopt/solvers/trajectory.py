@@ -4,7 +4,7 @@ local search, variable neighborhood search, and large neighborhood search.
 All drivers share one contract: start from a random vector, improve it until
 the budget expires, offer every strict improvement of their own best to the
 shared pool, and return a RunResult.  Each driver is a generator that asks
-for its decodes with `fit = yield keys` (see `core.Meter`).  Each outer iteration takes its
+for its decodes with `fit = yield keys`.  Each outer iteration takes its
 parameter record from the run context (`SolverRun.iterations`), which
 consults the parameter controller when one is attached.
 """
