@@ -24,6 +24,7 @@ from .harness import (
     wilcoxon_csv_from_rows,
     write_traces,
 )
+from .pool import DEFAULT_CAPACITY
 from .problems import PROBLEMS, brute_force, load_instance, make_decoder
 from .solvers import SOLVER_NAMES, defaults_for
 
@@ -49,15 +50,15 @@ def _add_instance_args(parser):
 def _cmd_solve(args) -> int:
     instance = read_input(load_instance, args.problem, args.instance, alpha=args.alpha)
     decoder = make_decoder(args.problem, instance)
+    seconds = time_limit(args.problem, instance, args.time, args.max_evals)
     results = run_method(
-        decoder, args.method, defaults_for(args.problem), args.seed,
-        time_limit(args.problem, instance, args.time, args.max_evals),
+        decoder, args.method, defaults_for(args.problem), args.seed, seconds,
         args.max_evals, args.pool_size, args.params == "qlearning",
     )
     result = results[0]
 
     _, artifact = decoder.decode(result.best_keys)
-    clock_unit = "evals" if args.time is None and args.max_evals is not None else "s"
+    clock_unit = "evals" if seconds is None else "s"  # no wall-clock limit: virtual clock
     print(f"instance: {os.path.basename(args.instance)}")
     print(f"method: {args.method}")
     print(f"objective: {result.best_fitness.objective!r}")
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-evals", type=_positive(int), default=None,
                        help="evaluation budget; used alone it makes runs reproducible")
     solve.add_argument("--seed", type=int, default=1)
-    solve.add_argument("--pool-size", type=_positive(int), default=20)
+    solve.add_argument("--pool-size", type=_positive(int), default=DEFAULT_CAPACITY)
     solve.add_argument("--params", default="table", choices=["table", "qlearning"])
     solve.add_argument("--out", default=None, help="write a one-row result CSV")
     solve.add_argument("--trace", default=None, help="write the improvement trace CSV")

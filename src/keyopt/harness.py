@@ -8,6 +8,7 @@ import os
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 from .metrics import performance_profile, rpd, wilcoxon_one_sided
+from .pool import DEFAULT_CAPACITY
 from .problems import get_problem, load_instance, make_decoder
 from .solvers import SOLVER_NAMES, defaults_for, run_portfolio, with_overrides
 
@@ -59,7 +60,7 @@ class ExperimentConfig:
     seed: int = 1
     output_dir: str = "results"
     alpha: int = 1
-    pool_capacity: int = 20
+    pool_capacity: int = DEFAULT_CAPACITY
     params_mode: str = "table"  # "table" or "qlearning"
     overrides: dict = field(default_factory=dict)  # solver -> {param: value}
     bks_path: str | None = None

@@ -1,13 +1,15 @@
-"""Shared solver plumbing: run results, the per-run context every driver
-runs in (meter, best-so-far with pool offers, controller), the cooling step
-and the Metropolis acceptance rule."""
+"""Shared solver plumbing: run results, the run context that is a driver's
+only argument (meter, parameters, pool, random stream, controller,
+best-so-far with pool offers, RVND polish), the cooling step and the
+Metropolis acceptance rule."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import Fitness, Meter, random_vector
+from ..core import Fitness, Meter, RngStream, random_vector
+from ..local_search import rvnd
 from ..pool import ElitePool
 from ..qlearning import QController
 from .params import with_overrides
@@ -37,12 +39,14 @@ class RunResult:
 
 
 class SolverRun:
-    """One driver run: its meter (the decoder calls spent against the run's
-    budget), its best-so-far with the pool offers, and its parameter
-    controller.
+    """One driver run and the driver's only argument: its meter (the decoder
+    calls spent against the run's budget), its base parameters, the shared
+    pool, its random stream, its best-so-far with the pool offers, and its
+    parameter controller.  The portfolio builds the run, hands it to the
+    driver and reads `result()` when the driver returns.
 
-    `fitness` and `random_member` ask for their decodes with `yield`, so
-    drivers call them with `yield from`.
+    `fitness`, `random_member` and `polish` ask for their decodes with
+    `yield`, so drivers call them with `yield from`.
 
     Every strict improvement of the best is appended to the trace,
     timestamped with the meter's clock, and offered to the shared elite
@@ -52,11 +56,12 @@ class SolverRun:
     of the best objective when the step ends.
     """
 
-    def __init__(self, meter: Meter, params, pool: ElitePool | None,
+    def __init__(self, meter: Meter, params, pool: ElitePool | None, rng: RngStream,
                  controller: QController | None = None):
         self.meter = meter
         self.params = params
         self.pool = pool
+        self.rng = rng
         self.controller = controller
         self.best_keys: np.ndarray | None = None
         self.best_fitness: Fitness | None = None
@@ -87,14 +92,15 @@ class SolverRun:
         self.consider(keys, fit)
         return fit
 
-    def random_member(self, rng):
+    def random_member(self):
         """A fresh random vector and its (decoded) fitness."""
-        keys = random_vector(self.meter.dimension, rng)
+        keys = random_vector(self.meter.dimension, self.rng)
         return keys, (yield from self.fitness(keys))
 
-    def keep(self, keys: np.ndarray, fit: Fitness) -> tuple[np.ndarray, Fitness]:
-        """Consider an already evaluated pair, e.g. a local search's result,
-        for the best and return it."""
+    def polish(self, keys: np.ndarray, fit: Fitness | None = None):
+        """Descend from `keys` with RVND (`fit` is their fitness when already
+        known), consider the result for the best and return it."""
+        keys, fit = yield from rvnd(keys, self.meter, self.pool, self.rng, fit)
         self.consider(keys, fit)
         return keys, fit
 

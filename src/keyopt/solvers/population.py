@@ -1,14 +1,12 @@
 """Population metaheuristics: the elitist random-key genetic algorithm, a
 standard genetic algorithm with tournament selection, and particle swarm
-optimization.  Like the trajectory drivers, each is a generator that asks
-for its decodes with `fit = yield keys` and returns a RunResult."""
+optimization.  Like the trajectory drivers, each takes one run context
+(`SolverRun`) and is a generator that asks for its decodes with
+`fit = yield keys`; the portfolio reads the run's result."""
 
 import numpy as np
 
-from ..core import Meter, RngStream, clamp_keys
-from ..local_search import rvnd
-from ..pool import ElitePool
-from ..qlearning import QController
+from ..core import RngStream, clamp_keys
 from ..variation import BlendParams, blend
 from .base import SolverRun, round_half_up
 
@@ -24,10 +22,10 @@ def brkga_partition(p: int, pe: float, pm: float) -> tuple[int, int, int]:
     return n_elite, n_mutant, p - n_elite - n_mutant
 
 
-def _init_population(run: SolverRun, size, rng):
+def _init_population(run: SolverRun, size):
     pop, fits = [], []
     for _ in range(size):
-        keys, fit = yield from run.random_member(rng)
+        keys, fit = yield from run.random_member()
         pop.append(keys)
         fits.append(fit)
         if run.expired():
@@ -40,36 +38,30 @@ def _sorted_population(pop, fits):
     return [pop[i] for i in order], [fits[i] for i in order]
 
 
-def _resize_population(run: SolverRun, pop, fits, target, rng):
+def _resize_population(run: SolverRun, pop, fits, target):
     """Grow with fresh random vectors or truncate the tail, which holds the
     worst members when the population is sorted."""
     if target < len(pop):
         return pop[:target], fits[:target]
     while len(pop) < target and not run.expired():
-        keys, fit = yield from run.random_member(rng)
+        keys, fit = yield from run.random_member()
         pop.append(keys)
         fits.append(fit)
     return pop, fits
 
 
-def run_brkga(
-    meter: Meter,
-    params,
-    pool: ElitePool | None,
-    rng: RngStream,
-    controller: QController | None = None,
-):
+def run_brkga(run: SolverRun):
     """Generational loop copying the elite block, injecting mutants, and
     filling the rest with elite-biased uniform crossover; every new
     generation best is intensified with RVND."""
-    run = SolverRun(meter, params, pool, controller)
-    pop, fits = yield from _init_population(run, params.p, rng)
+    rng = run.rng
+    pop, fits = yield from _init_population(run, run.params.p)
     pop, fits = _sorted_population(pop, fits)
 
     for p in run.iterations():
         prev_best = run.best_objective
         if p.p != len(pop):
-            pop, fits = yield from _resize_population(run, pop, fits, p.p, rng)
+            pop, fits = yield from _resize_population(run, pop, fits, p.p)
             pop, fits = _sorted_population(pop, fits)
         n_elite, n_mutant, n_offspring = brkga_partition(len(pop), p.pe, p.pm)
         crossover = BlendParams(rho=p.rho, mu=0.0, factor=1)
@@ -79,7 +71,7 @@ def run_brkga(
         for _ in range(n_mutant):
             if run.expired():
                 break
-            keys, fit = yield from run.random_member(rng)
+            keys, fit = yield from run.random_member()
             new_pop.append(keys)
             new_fits.append(fit)
         for _ in range(n_offspring):
@@ -93,12 +85,10 @@ def run_brkga(
         pop, fits = _sorted_population(new_pop, new_fits)
 
         if run.best_objective < prev_best:
-            improved, improved_fit = run.keep(*(yield from rvnd(
-                run.best_keys, meter, pool, rng, run.best_fitness)))
+            improved, improved_fit = yield from run.polish(run.best_keys, run.best_fitness)
             pop[-1] = improved
             fits[-1] = improved_fit
             pop, fits = _sorted_population(pop, fits)
-    return run.result("brkga")
 
 
 def _tournament(fits, rng: RngStream) -> int:
@@ -108,22 +98,16 @@ def _tournament(fits, rng: RngStream) -> int:
     return a if fits[a].objective <= fits[b].objective else b
 
 
-def run_ga(
-    meter: Meter,
-    params,
-    pool: ElitePool | None,
-    rng: RngStream,
-    controller: QController | None = None,
-):
+def run_ga(run: SolverRun):
     """Tournament selection, blending crossover with probability pc (parents
     are copied otherwise), elitism, and RVND on each generation's best."""
-    run = SolverRun(meter, params, pool, controller)
-    pop, fits = yield from _init_population(run, params.p, rng)
+    rng = run.rng
+    pop, fits = yield from _init_population(run, run.params.p)
 
     for p in run.iterations():
         if p.p != len(pop):
             pop, fits = _sorted_population(pop, fits)
-            pop, fits = yield from _resize_population(run, pop, fits, p.p, rng)
+            pop, fits = yield from _resize_population(run, pop, fits, p.p)
         crossover = BlendParams(rho=0.5, mu=p.mu, factor=1)
 
         elite_idx = min(range(len(pop)), key=lambda i: fits[i].objective)
@@ -147,14 +131,12 @@ def run_ga(
                     new_fits.append(fits[idx])
 
         best_idx = min(range(len(new_pop)), key=lambda i: new_fits[i].objective)
-        improved, improved_fit = run.keep(*(yield from rvnd(
-            new_pop[best_idx], meter, pool, rng, new_fits[best_idx])))
+        improved, improved_fit = yield from run.polish(new_pop[best_idx], new_fits[best_idx])
         if improved_fit.objective < new_fits[best_idx].objective:
             worst_idx = max(range(len(new_pop)), key=lambda i: new_fits[i].objective)
             new_pop[worst_idx] = improved
             new_fits[worst_idx] = improved_fit
         pop, fits = new_pop, new_fits
-    return run.result("ga")
 
 
 def pso_move(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
@@ -163,18 +145,12 @@ def pso_move(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     return clamp_keys(position + velocity)
 
 
-def run_pso(
-    meter: Meter,
-    params,
-    pool: ElitePool | None,
-    rng: RngStream,
-    controller: QController | None = None,
-):
+def run_pso(run: SolverRun):
     """Velocity-driven swarm over the key hypercube; one uniformly random
     particle per generation is polished with RVND."""
-    run = SolverRun(meter, params, pool, controller)
-    pos, fits = yield from _init_population(run, params.p, rng)
-    vel = [np.zeros(meter.dimension) for _ in pos]
+    rng = run.rng
+    pos, fits = yield from _init_population(run, run.params.p)
+    vel = [np.zeros(run.meter.dimension) for _ in pos]
     p_best = [k.copy() for k in pos]
     p_best_fit = list(fits)
     g_idx = min(range(len(pos)), key=lambda i: fits[i].objective)
@@ -185,8 +161,8 @@ def run_pso(
         if p.p != len(pos):
             # Unsorted, so truncation keeps particle order.
             kept = min(p.p, len(pos))
-            pos, fits = yield from _resize_population(run, pos, fits, p.p, rng)
-            vel = vel[:kept] + [np.zeros(meter.dimension) for _ in pos[kept:]]
+            pos, fits = yield from _resize_population(run, pos, fits, p.p)
+            vel = vel[:kept] + [np.zeros(run.meter.dimension) for _ in pos[kept:]]
             p_best = p_best[:kept] + [k.copy() for k in pos[kept:]]
             p_best_fit = p_best_fit[:kept] + fits[kept:]
 
@@ -210,8 +186,7 @@ def run_pso(
                 g_best_fit = fit
 
         j = rng.integers(0, len(pos))
-        polished, polished_fit = run.keep(
-            *(yield from rvnd(pos[j], meter, pool, rng, fits[j])))
+        polished, polished_fit = yield from run.polish(pos[j], fits[j])
         if polished_fit.objective < fits[j].objective:
             pos[j] = polished
             fits[j] = polished_fit
@@ -221,4 +196,3 @@ def run_pso(
             if polished_fit.objective < g_best_fit.objective:
                 g_best = polished.copy()
                 g_best_fit = polished_fit
-    return run.result("pso")

@@ -5,6 +5,10 @@ Member streams are derived from a single master seed (stream 0 initializes
 the pool, stream i drives the i-th enabled solver), so a single-solver
 portfolio is equivalent to running that solver directly with the same seed.
 
+The portfolio is the one place that builds a member's run context
+(`SolverRun`: meter, parameters, pool, random stream, controller) and reads
+its result, so the `SOLVERS` key is the solver's only name.
+
 Every member is a generator that asks for its decodes with `yield` (see
 `core.Meter`), and the members are interleaved on the calling thread.  A
 member keeps the turn for TURN_CALLS decoder calls and then hands it to the
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from ..core import Decoder, Meter, RngStream, TimeBudget
 from ..pool import DEFAULT_CAPACITY, ElitePool, init_pool
 from ..qlearning import QController
-from .base import RunResult
+from .base import RunResult, SolverRun
 from .params import SOLVER_NAMES, control_grid
 from .population import run_brkga, run_ga, run_pso
 from .trajectory import run_grasp, run_ils, run_lns, run_sa, run_vns
@@ -58,19 +62,21 @@ def _merged_trace(results):
     return merged
 
 
-def _turns(name, meter: Meter, params, pool, rng, controller):
+def _turns(name, run: SolverRun):
     """One member's turns: start its solver on the first turn, answer its
     requests, and pause before each request that would start a new block
-    of TURN_CALLS decoder calls.  Returns the solver's result."""
-    member = SOLVERS[name](meter, params, pool, rng, controller=controller)
+    of TURN_CALLS decoder calls.  Returns the run's result once the solver
+    stops."""
+    meter = run.meter
+    member = SOLVERS[name](run)
     try:
         keys = next(member)
         while True:
             if meter.count and meter.count % TURN_CALLS == 0:
                 yield
             keys = meter.answer(member, keys)
-    except StopIteration as stop:
-        return stop.value
+    except StopIteration:
+        return run.result(name)
 
 
 def run_portfolio(
@@ -110,7 +116,8 @@ def run_portfolio(
         rng = RngStream(seed, index + 1)
         params = params_by_method[name]
         controller = QController(control_grid(name, params), rng) if q_control else None
-        running.append((name, _turns(name, Meter(decoder, budget), params, pool, rng, controller)))
+        run = SolverRun(Meter(decoder, budget), params, pool, rng, controller)
+        running.append((name, _turns(name, run)))
 
     results: dict[str, RunResult] = {}
     errors: dict[str, Exception] = {}

@@ -1,12 +1,14 @@
 """Single-solution metaheuristics: simulated annealing, GRASP, iterated
 local search, variable neighborhood search, and large neighborhood search.
 
-All drivers share one contract: start from a random vector, improve it until
-the budget expires, offer every strict improvement of their own best to the
-shared pool, and return a RunResult.  Each driver is a generator that asks
-for its decodes with `fit = yield keys`.  Each outer iteration takes its
-parameter record from the run context (`SolverRun.iterations`), which
-consults the parameter controller when one is attached.
+All drivers share one contract: each takes one run context (`SolverRun`),
+starts from a random vector, and improves it until the budget expires; the
+run offers every strict improvement of its best to the shared pool, and the
+portfolio reads the run's result when the driver returns.  Each driver is a
+generator that asks for its decodes with `fit = yield keys`.  Each outer
+iteration takes its parameter record from the run context
+(`SolverRun.iterations`), which consults the parameter controller when one
+is attached.
 """
 
 import math
@@ -14,9 +16,7 @@ import math
 import numpy as np
 
 from ..core import Meter, RngStream
-from ..local_search import BudgetTicker, best_key_value, farey_draws, rvnd
-from ..pool import ElitePool
-from ..qlearning import QController
+from ..local_search import BudgetTicker, best_key_value, farey_draws
 from ..variation import ShakeParams, shake
 from .base import SolverRun, cooled, metropolis_accept
 
@@ -27,19 +27,13 @@ def _shake_range(beta_min: float, beta_max: float) -> ShakeParams:
     return ShakeParams(lo, hi)
 
 
-def run_sa(
-    meter: Meter,
-    params,
-    pool: ElitePool | None,
-    rng: RngStream,
-    controller: QController | None = None,
-):
+def run_sa(run: SolverRun):
     """Metropolis sampling over shaken neighbors with geometric cooling; the
     incumbent is polished by RVND before every temperature drop."""
-    run = SolverRun(meter, params, pool, controller)
-    keys, fit = yield from run.random_member(rng)
+    rng = run.rng
+    keys, fit = yield from run.random_member()
 
-    temp = params.t0
+    temp = run.params.t0
     for p in run.iterations():
         betas = _shake_range(p.beta_min, p.beta_max)
         for _ in range(p.sa_max):
@@ -49,49 +43,33 @@ def run_sa(
             cand_fit = yield from run.fitness(cand)
             if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
                 keys, fit = cand, cand_fit
-        keys, fit = run.keep(*(yield from rvnd(keys, meter, pool, rng, fit)))
+        keys, fit = yield from run.polish(keys, fit)
         temp = cooled(temp, p)
-    return run.result("sa")
 
 
-def run_ils(
-    meter: Meter,
-    params,
-    pool: ElitePool | None,
-    rng: RngStream,
-    controller: QController | None = None,
-):
+def run_ils(run: SolverRun):
     """Shake the best-so-far, descend with RVND, keep the result when it
     improves."""
-    run = SolverRun(meter, params, pool, controller)
-    incumbent, fit = yield from run.random_member(rng)
+    incumbent, fit = yield from run.random_member()
 
     for p in run.iterations():
-        cand = shake(incumbent, _shake_range(p.beta_min, p.beta_max), rng)
-        cand, cand_fit = run.keep(*(yield from rvnd(cand, meter, pool, rng)))
+        cand = shake(incumbent, _shake_range(p.beta_min, p.beta_max), run.rng)
+        cand, cand_fit = yield from run.polish(cand)
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
-    return run.result("ils")
 
 
-def run_vns(
-    meter: Meter,
-    params,
-    pool: ElitePool | None,
-    rng: RngStream,
-    controller: QController | None = None,
-):
+def run_vns(run: SolverRun):
     """Shaking intensity grows with the neighborhood index k (rate k *
     beta_min); improvement resets k to 1, failure advances it, and k wraps
     after k_max."""
-    run = SolverRun(meter, params, pool, controller)
-    incumbent, fit = yield from run.random_member(rng)
+    incumbent, fit = yield from run.random_member()
 
     k = 1
     for p in run.iterations():
         beta = min(1.0, k * p.beta_min)
-        cand = shake(incumbent, ShakeParams(beta, beta), rng)
-        cand, cand_fit = run.keep(*(yield from rvnd(cand, meter, pool, rng)))
+        cand = shake(incumbent, ShakeParams(beta, beta), run.rng)
+        cand, cand_fit = yield from run.polish(cand)
         if cand_fit.objective < fit.objective:
             incumbent, fit = cand, cand_fit
             k = 1
@@ -99,7 +77,6 @@ def run_vns(
             k += 1
             if k > p.k_max:
                 k = 1
-    return run.result("vns")
 
 
 def _grid_draws(spacing, rng):
@@ -141,30 +118,24 @@ def _construct(incumbent, spacing, gamma, meter, rng):
     return work, fit
 
 
-def run_grasp(
-    meter: Meter,
-    params,
-    pool: ElitePool | None,
-    rng: RngStream,
-    controller: QController | None = None,
-):
+def run_grasp(run: SolverRun):
     """Semi-greedy construction over a shrinking grid followed by RVND, with
     Metropolis acceptance of the new incumbent.
 
     The grid spacing starts at hs, halves after every non-improving
     iteration, and resets to hs once it would pass he.
     """
-    run = SolverRun(meter, params, pool, controller)
-    incumbent, fit = yield from run.random_member(rng)
+    rng = run.rng
+    incumbent, fit = yield from run.random_member()
 
-    spacing = params.hs
-    temp = params.t0
+    spacing = run.params.hs
+    temp = run.params.t0
     for p in run.iterations():
         gamma = rng.random()
-        cand, cand_fit = yield from _construct(incumbent, spacing, gamma, meter, rng)
+        cand, cand_fit = yield from _construct(incumbent, spacing, gamma, run.meter, rng)
         if cand is None:
             break
-        cand, cand_fit = run.keep(*(yield from rvnd(cand, meter, pool, rng, cand_fit)))
+        cand, cand_fit = yield from run.polish(cand, cand_fit)
         improved = cand_fit.objective < fit.objective
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             incumbent, fit = cand, cand_fit
@@ -173,7 +144,6 @@ def run_grasp(
             if spacing < p.he:
                 spacing = p.hs
         temp = cooled(temp, p)
-    return run.result("grasp")
 
 
 def lns_repair(
@@ -195,30 +165,23 @@ def lns_repair(
     return work, fit
 
 
-def run_lns(
-    meter: Meter,
-    params,
-    pool: ElitePool | None,
-    rng: RngStream,
-    controller: QController | None = None,
-):
+def run_lns(run: SolverRun):
     """Destroy a random share of the keys, repair them Farey-greedily,
     accept by the Metropolis rule, and polish every new global best with
     RVND."""
-    run = SolverRun(meter, params, pool, controller)
-    keys, fit = yield from run.random_member(rng)
+    rng = run.rng
+    keys, fit = yield from run.random_member()
 
-    n = meter.dimension
-    temp = params.t0
+    n = run.meter.dimension
+    temp = run.params.t0
     for p in run.iterations():
         lo, hi = sorted((p.beta_min, p.beta_max))
         beta = rng.uniform(lo, hi) if hi > lo else lo
         count = min(n, max(1, math.ceil(beta * n)))
         removed = rng.choice(n, size=count, replace=False)
-        cand, cand_fit = yield from lns_repair(keys, removed, meter, rng, fit)
+        cand, cand_fit = yield from lns_repair(keys, removed, run.meter, rng, fit)
         if run.consider(cand, cand_fit):
-            cand, cand_fit = run.keep(*(yield from rvnd(cand, meter, pool, rng, cand_fit)))
+            cand, cand_fit = yield from run.polish(cand, cand_fit)
         if metropolis_accept(cand_fit.objective - fit.objective, temp, rng):
             keys, fit = cand, cand_fit
         temp = cooled(temp, p)
-    return run.result("lns")

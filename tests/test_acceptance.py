@@ -41,6 +41,7 @@ from keyopt.solvers import (
     pso_move,
     run_portfolio,
 )
+from keyopt.solvers.base import SolverRun
 from keyopt.variation import BlendParams, ShakeParams, blend, shake
 
 REL_TOL = 1e-9
@@ -435,7 +436,9 @@ def test_criterion_11_portfolio_dominance(acceptance_instances):
                 budget = TimeBudget(seconds=2.0)
                 pool = init_pool(20, decoder, RngStream(seed, 0), budget=budget)
                 meter = Meter(decoder, budget)
-                solo = meter.run(SOLVERS[name](meter, params[name], pool, RngStream(seed, 1)))
+                run = SolverRun(meter, params[name], pool, RngStream(seed, 1))
+                meter.run(SOLVERS[name](run))
+                solo = run.result(name)
                 assert close_enough(portfolio_best, solo.best_fitness.objective), (
                     f"{problem}[{idx}] {name}: portfolio {portfolio_best} "
                     f"vs solo {solo.best_fitness.objective}"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,7 @@ def test_cli_solve_writes_deterministic_csv(pmed_files, tmp_path, capsys):
         outputs.append(out.read_bytes())
     captured = capsys.readouterr()
     assert "objective:" in captured.out
+    assert re.search(r"^time_to_best: \d+\.\d+ evals$", captured.out, re.MULTILINE)
     assert outputs[0] == outputs[1]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import instgen
 import keyopt.local_search as local_search
-import keyopt.solvers.trajectory as trajectory
+import keyopt.solvers.base as base
 from keyopt.core import Fitness, Meter, RngStream, TimeBudget, random_vector
 from keyopt.local_search import (
     BUDGET_CHECK_EVERY,
@@ -27,7 +27,8 @@ from keyopt.problems import (
     TspInstance,
     brute_force_pmedian,
 )
-from keyopt.solvers import defaults_for
+from keyopt.solvers import SOLVERS, defaults_for
+from keyopt.solvers.base import SolverRun
 
 
 class ConstantDecoder:
@@ -303,12 +304,14 @@ def test_rvnd_and_drivers_look_up_searches_at_call_time(tiny_decoders, monkeypat
 
     for name in ("swap_ls", "farey_ls", "mirror_ls"):
         count(local_search, name)
-    count(trajectory, "rvnd")
+    count(base, "rvnd")
     decoder = tiny_decoders["pmedian"]
     rng = RngStream(17, 0)
     meter = Meter(decoder)
     meter.run(local_search.rvnd(random_vector(decoder.dimension, rng), meter, None, rng))
     assert calls.keys() >= {"swap_ls", "farey_ls", "mirror_ls"}
     meter = Meter(decoder, TimeBudget(max_evals=200))
-    meter.run(trajectory.run_ils(meter, defaults_for("pmedian")["ils"], None, RngStream(17, 1)))
+    run = SolverRun(meter, defaults_for("pmedian")["ils"], None, RngStream(17, 1))
+    meter.run(SOLVERS["ils"](run))
+    run.result("ils")
     assert calls.get("rvnd", 0) >= 1

@@ -18,11 +18,12 @@ from keyopt.solvers import (
     PsoParams,
     SaParams,
     SOLVER_NAMES,
+    SOLVERS,
     control_grid,
     defaults_for,
-    run_brkga,
     with_overrides,
 )
+from keyopt.solvers.base import SolverRun
 from keyopt.solvers.params import DEFAULT_TABLES
 
 RECORD_TYPES = {name: type(record) for name, record in defaults_for("pmedian").items()}
@@ -139,5 +140,7 @@ def test_single_member_brkga_stops_under_an_evaluation_budget(tiny_decoders, q_c
     rng = RngStream(3, 1)
     controller = QController(control_grid("brkga", params), rng) if q_control else None
     meter = Meter(decoder, TimeBudget(max_evals=50))
-    result = meter.run(run_brkga(meter, params, None, rng, controller=controller))
+    run = SolverRun(meter, params, None, rng, controller)
+    meter.run(SOLVERS["brkga"](run))
+    result = run.result("brkga")
     assert result.evaluations >= 1  # returned instead of spinning

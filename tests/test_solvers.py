@@ -7,7 +7,7 @@ import pytest
 
 import instgen
 from keyopt.core import Decoder, DimensionError, Meter, RngStream, TimeBudget, random_vector
-from keyopt.pool import init_pool
+from keyopt.pool import ElitePool, init_pool
 from keyopt.problems import PMedianDecoder, brute_force_pmedian
 from keyopt.qlearning import QController
 from keyopt.solvers import (
@@ -21,9 +21,9 @@ from keyopt.solvers import (
     portfolio,
     pso_move,
     run_portfolio,
-    run_sa,
     with_overrides,
 )
+from keyopt.solvers.base import SolverRun
 
 
 @pytest.fixture(scope="module")
@@ -34,13 +34,19 @@ def oracle_case():
     return decoder, optimum
 
 
-def run_one(name, decoder, seed, seconds=None, max_evals=None, controller=None):
+def solo(name, meter, params, pool, rng, controller=None):
+    """Run solver `name` alone in a run context built as the portfolio
+    builds one, and return the run's result."""
+    run = SolverRun(meter, params, pool, rng, controller)
+    meter.run(SOLVERS[name](run))
+    return run.result(name)
+
+
+def run_one(name, decoder, seed, seconds=None, max_evals=None):
     params = defaults_for("pmedian")[name]
     budget = TimeBudget(seconds=seconds, max_evals=max_evals)
     pool = init_pool(10, decoder, RngStream(seed, 0), budget=budget)
-    rng = RngStream(seed, 1)
-    meter = Meter(decoder, budget)
-    return meter.run(SOLVERS[name](meter, params, pool, rng, controller=controller))
+    return solo(name, Meter(decoder, budget), params, pool, RngStream(seed, 1))
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
@@ -79,10 +85,27 @@ def test_solver_improvements_reach_pool(oracle_case):
     params = defaults_for("pmedian")["ils"]
     budget = TimeBudget(max_evals=3000)
     pool = init_pool(10, decoder, RngStream(13, 0), budget=budget)
-    meter = Meter(decoder, budget)
-    result = meter.run(SOLVERS["ils"](meter, params, pool, RngStream(13, 1)))
+    result = solo("ils", Meter(decoder, budget), params, pool, RngStream(13, 1))
     _, pool_best = pool.best()
     assert pool_best.objective <= result.best_fitness.objective + 1e-12
+
+
+@pytest.mark.parametrize("with_pool", [True, False], ids=["pool", "no-pool"])
+def test_polish_returns_a_pair_no_worse_and_keeps_an_improvement(oracle_case, with_pool):
+    decoder, _ = oracle_case
+    pool = ElitePool(10) if with_pool else None
+    meter = Meter(decoder, TimeBudget(max_evals=300))
+    run = SolverRun(meter, defaults_for("pmedian")["ils"], pool, RngStream(71, 1))
+    keys, fit = meter.run(run.random_member())
+    polished, polished_fit = meter.run(run.polish(keys, fit))
+    assert polished_fit == decoder.decode(polished)[0]
+    assert polished_fit.objective < fit.objective  # no worse; this seed improves
+    assert run.best_keys.tobytes() == polished.tobytes()
+    assert run.best_fitness == polished_fit
+    assert run.trace[-1] == (run.time_to_best, polished_fit.objective)
+    if with_pool:
+        pool_keys, pool_fit = pool.best()
+        assert (pool_keys.tobytes(), pool_fit) == (polished.tobytes(), polished_fit)
 
 
 def test_single_threaded_run_is_bit_reproducible(oracle_case):
@@ -206,8 +229,7 @@ def test_solver_with_controller_stays_functional(oracle_case):
     pool = init_pool(10, decoder, RngStream(31, 0), budget=budget)
     rng = RngStream(31, 1)
     controller = QController(control_grid("sa", params), rng)
-    meter = Meter(decoder, budget)
-    result = meter.run(run_sa(meter, params, pool, rng, controller=controller))
+    result = solo("sa", Meter(decoder, budget), params, pool, rng, controller)
     assert result.best_fitness.objective < math.inf
     assert controller.qtable  # the controller actually learned something
 
@@ -282,6 +304,7 @@ def test_portfolio_under_an_evaluation_budget_is_bit_reproducible(oracle_case):
     assert list(a.per_solver) == list(b.per_solver) == list(SOLVER_NAMES)
     for name in SOLVER_NAMES:
         ra, rb = a.per_solver[name], b.per_solver[name]
+        assert ra.solver == name
         assert ra.best_keys.tobytes() == rb.best_keys.tobytes(), name
         assert (ra.best_fitness, ra.time_to_best, ra.evaluations, ra.trace) == \
             (rb.best_fitness, rb.time_to_best, rb.evaluations, rb.trace), name
@@ -414,11 +437,11 @@ def test_portfolio_member_failure_names_it_after_the_others_finish(
             return result
         return run
 
-    def broken(meter, params, pool, rng, controller=None):
+    def broken(run):
         for _ in range(2 * portfolio.TURN_CALLS):
-            yield random_vector(meter.dimension, rng)
+            yield random_vector(run.meter.dimension, run.rng)
         if cause is DimensionError:
-            yield random_vector(meter.dimension + 1, rng)
+            yield random_vector(run.meter.dimension + 1, run.rng)
         raise ZeroDivisionError("solver bug")
 
     for name in SOLVER_NAMES:
