@@ -432,9 +432,8 @@ def test_portfolio_member_failure_names_it_after_the_others_finish(
 
     def recorded(name, solve):
         def run(*args, **kwargs):
-            result = yield from solve(*args, **kwargs)
+            yield from solve(*args, **kwargs)
             finished.append(name)
-            return result
         return run
 
     def broken(run):
