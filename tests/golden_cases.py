@@ -25,7 +25,14 @@ size (n=900, p=200, alpha=5), one per line.  `decode/partition-b100-r15.txt`
 holds the partition decoder's objective and assignment for 300 fixed key
 vectors on two generated handover instances of the paper's size (b=100,
 r=15): one with room to spare, and one so tight on capacity that about
-half of its decodes leave stations unassigned.
+half of its decodes leave stations unassigned.  `decode/hubtree-n100-p10.txt`
+holds the hub-tree decoder's objective and artifact (hubs, each node's hub,
+tree edges) for 300 key vectors of the paper's size (n=100, p=10) that one
+decoder object decodes in turn, on a generated instance with non-integer
+demands.  The stream repeats earlier vectors exactly and changes one key
+of the vector before, so that whatever a decoder keeps between calls is
+read back, and it includes quarter-grid ties and assignment keys of 0.0
+and KEY_MAX.
 
 `tests/test_golden.py` compares a fresh set with the committed one.  After a
 change that is meant to alter behaviour, rewrite the files with
@@ -52,6 +59,8 @@ from keyopt.cli import main  # noqa: E402
 from keyopt.core import KEY_MAX  # noqa: E402
 from keyopt.harness import ExperimentConfig, run_experiment  # noqa: E402
 from keyopt.problems import (  # noqa: E402
+    HubTreeDecoder,
+    HubTreeInstance,
     PartitionDecoder,
     PMedianDecoder,
     PMedianInstance,
@@ -85,6 +94,7 @@ NEAR_LIST_METHODS = ("brkga", "portfolio")
 # The paper-size decode digests, relative to the golden directory.
 DECODE_DIGEST = "decode/pmedian-n900-p200.txt"
 PARTITION_DIGEST = "decode/partition-b100-r15.txt"
+HUBTREE_DIGEST = "decode/hubtree-n100-p10.txt"
 
 
 def write_instances(directory=GOLDEN_DIR) -> None:
@@ -199,6 +209,46 @@ def write_partition_digest(path) -> None:
             fh.write(f"{fit.objective!r} {' '.join(map(str, assignment))}\n")
 
 
+def write_hubtree_digest(path) -> None:
+    """The hub-tree decoder's objective and artifact for a stream of key
+    vectors that one decoder decodes in order, on an instance with
+    non-integer demands; one vector per line.  The stream cycles through a
+    fresh random vector, a change of one node key, one assignment key and
+    one arc key of the vector before, an exact repeat of an earlier vector,
+    and a quarter-grid vector whose assignment keys include 0.0 and
+    KEY_MAX."""
+    n, p = 100, 10
+    rng = np.random.default_rng(20261021)
+    demand = rng.random((n, n)) * 20.0
+    np.fill_diagonal(demand, 0.0)
+    decoder = HubTreeDecoder(HubTreeInstance(
+        cost=instgen.metric_distances(rng, n) * 100.0, demand=demand, hubs=p, discount=0.4))
+    dim = decoder.dimension
+    segments = ((0, n), (n, 2 * n - p), (2 * n - p, dim))  # node, assignment, arc keys
+    seen = []
+    keys = rng.random(dim)
+    with open(path, "w") as fh:
+        for i in range(300):
+            step = i % 6
+            if step == 0:
+                keys = rng.random(dim)
+            elif step <= 3:
+                keys = keys.copy()
+                keys[rng.integers(*segments[step - 1])] = rng.random()
+            elif step == 4:
+                keys = seen[rng.integers(len(seen))].copy()
+            else:
+                keys = np.floor(rng.random(dim) * 4) / 4
+                edge = rng.choice(np.arange(n, 2 * n - p), size=8, replace=False)
+                keys[edge[:4]] = 0.0
+                keys[edge[4:]] = KEY_MAX
+            seen.append(keys)
+            fit, (hubs, hub_of, tree) = decoder.decode(keys)
+            fh.write(f"{fit.objective!r} {' '.join(map(str, hubs))}"
+                     f" | {' '.join(map(str, hub_of))}"
+                     f" | {' '.join(f'{a}-{b}' for a, b in tree)}\n")
+
+
 def write_outputs(directory) -> None:
     """Every output file under `directory`, from the committed instances."""
     os.makedirs(os.path.join(directory, "solve"), exist_ok=True)
@@ -225,4 +275,5 @@ if __name__ == "__main__":
     write_outputs(GOLDEN_DIR)
     write_decode_digest(os.path.join(GOLDEN_DIR, DECODE_DIGEST))
     write_partition_digest(os.path.join(GOLDEN_DIR, PARTITION_DIGEST))
-    print(f"wrote {len(output_names()) + 2} files under {GOLDEN_DIR}")
+    write_hubtree_digest(os.path.join(GOLDEN_DIR, HUBTREE_DIGEST))
+    print(f"wrote {len(output_names()) + 3} files under {GOLDEN_DIR}")
