@@ -21,6 +21,9 @@ from ._text import open_instance
 
 ENUMERATION_LIMIT = 10**8
 
+# Entries each decoder memo (path costs, fitness by artifact) keeps.
+MEMO_SIZE = 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class HubTreeInstance:
@@ -126,56 +129,63 @@ def tree_path_costs(hub_nodes, tree, cost) -> np.ndarray:
     return np.array(rows)
 
 
-def routing_cost(instance: HubTreeInstance, hub_nodes, hub_of, tree) -> float:
-    """Cost of one decoded (hubs, assignment, tree) triple: access arcs to
-    the hubs plus discounted flow along the tree path between hubs.
-
-    The access part folds into per-node demand totals; the tree part
-    aggregates demand by hub group before weighting with path costs.
-    """
-    p = len(hub_nodes)
-    pos_of = {node: pos for pos, node in enumerate(hub_nodes)}
-    hub_pos = np.array([pos_of[hub] for hub in hub_of])
-    access = instance.cost[instance._node_range, hub_of]
-    access_cost = float(access @ instance._demand_through)
-    paths = tree_path_costs(hub_nodes, tree, instance.cost)
-    cell = (hub_pos * p)[:, None] + hub_pos
-    demand_by_group = np.bincount(
-        cell.ravel(), weights=instance._demand_off.ravel(), minlength=p * p
-    ).reshape(p, p)
-    flow_cost = instance.discount * float((demand_by_group * paths).sum())
-    return access_cost + flow_cost
-
-
 class HubTreeDecoder(Decoder):
+    """Decodes with one vectorised mapping from keys to the (hubs,
+    assignment, tree) triple, and keeps the tree path costs of recent (hubs,
+    tree) pairs and the fitness of recent artifacts; each call returns what
+    a fresh decoder would, bit for bit."""
+
     def __init__(self, instance: HubTreeInstance):
         self.instance = instance
         self.dimension = instance.dimension
+        self._paths = {}  # (hub nodes, position tree) -> tree_path_costs
+        self._fits = {}  # artifact -> Fitness
 
     def decode(self, keys: np.ndarray) -> tuple[Fitness, tuple]:
         inst = self.instance
         n, p = inst.n, inst.hubs
-        order = keys[:n].argsort(kind="stable").tolist()
-        hub_nodes = order[:p]  # in sorted-key order
-        non_hubs = order[p:]
+        order = keys[:n].argsort(kind="stable")
+        hubs = order[:p]  # in sorted-key order
+        hub_pos = np.empty(n, dtype=np.intp)
+        hub_pos[hubs] = np.arange(p)  # hubs serve themselves
+        # The same IEEE product and rounding as int(math.floor(key * p)).
+        slots = np.floor(keys[n : 2 * n - p] * p).astype(np.intp)
+        hub_pos[order[p:]] = np.minimum(slots, p - 1)
+        hub_of = hubs[hub_pos]
+        tree = kruskal_tree(p, keys[2 * n - p :].argsort(kind="stable").tolist())
 
-        hub_of = list(range(n))  # hubs serve themselves
-        assign_keys = keys[n : n + (n - p)].tolist()
-        for node, key in zip(non_hubs, assign_keys):
-            slot = min(p - 1, int(math.floor(key * p)))
-            hub_of[node] = hub_nodes[slot]
-
-        arc_keys = keys[n + (n - p) :]
-        arc_order = arc_keys.argsort(kind="stable").tolist()
-        tree = kruskal_tree(p, arc_order)
-
-        total = routing_cost(inst, hub_nodes, hub_of, tree)
+        hub_nodes = tuple(hubs.tolist())
         artifact = (
-            tuple(hub_nodes),
-            tuple(hub_of),
+            hub_nodes,
+            tuple(hub_of.tolist()),
             tuple((hub_nodes[a], hub_nodes[b]) for a, b in tree),
         )
-        return Fitness.of(total), artifact
+        fit = self._fits.get(artifact)
+        if fit is None:
+            # Access arcs fold into per-node demand totals; the tree part
+            # sums demand by hub group before weighting it with path costs.
+            access_cost = float(inst.cost[inst._node_range, hub_of] @ inst._demand_through)
+            paths_key = (hub_nodes, tuple(tree))
+            paths = self._paths.get(paths_key)
+            if paths is None:
+                paths = _remember(self._paths, paths_key,
+                                  tree_path_costs(hub_nodes, tree, inst.cost))
+            cell = (hub_pos * p)[:, None] + hub_pos
+            demand_by_group = np.bincount(
+                cell.ravel(), weights=inst._demand_off.ravel(), minlength=p * p
+            ).reshape(p, p)
+            flow_cost = inst.discount * float((demand_by_group * paths).sum())
+            fit = _remember(self._fits, artifact, Fitness.of(access_cost + flow_cost))
+        return fit, artifact
+
+
+def _remember(memo: dict, key, value):
+    """Store `value` under `key`, emptying the memo first once it holds
+    MEMO_SIZE entries."""
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def parse_hubtree(path) -> HubTreeInstance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import instgen
-from keyopt.problems import pmedian
+from keyopt.problems import hubtree, pmedian
 from keyopt.core import KEY_MAX, ParseError, RngStream, SizeGuardError, random_vector
 from keyopt.problems import (
     HubTreeDecoder,
@@ -667,17 +667,21 @@ def test_hubtree_ascending_arc_keys_build_lexicographic_kruskal():
     assert tree == ((hubs[0], hubs[1]), (hubs[0], hubs[2]))
 
 
+def _plain_cost_of(inst, hubs, hub_of, tree):
+    """plain_routing_cost of a decoded artifact, whose tree names nodes."""
+    pos = {node: i for i, node in enumerate(hubs)}
+    plain_tree = tuple((pos[a], pos[b]) for a, b in tree)
+    return plain_routing_cost(inst, list(hubs), list(hub_of), plain_tree)
+
+
 def test_hubtree_cost_matches_plain_recomputation():
     rng = np.random.default_rng(34)
     inst = instgen.tiny_hubtree(rng, n=6, p=3)
     decoder = HubTreeDecoder(inst)
     key_rng = RngStream(35, 0)
     for _ in range(200):
-        fit, (hubs, hub_of, tree) = decoder.decode(random_vector(inst.dimension, key_rng))
-        pos = {node: i for i, node in enumerate(hubs)}
-        plain_tree = tuple((pos[a], pos[b]) for a, b in tree)
-        expected = plain_routing_cost(inst, list(hubs), list(hub_of), plain_tree)
-        assert fit.objective == pytest.approx(expected)
+        fit, artifact = decoder.decode(random_vector(inst.dimension, key_rng))
+        assert fit.objective == pytest.approx(_plain_cost_of(inst, *artifact))
 
 
 def test_hubtree_tree_always_spans_hubs():
@@ -713,6 +717,57 @@ def test_hubtree_brute_force_dominates_decodes():
     for _ in range(300):
         fit, _ = decoder.decode(random_vector(inst.dimension, rng))
         assert fit.objective >= optimum - 1e-6 * max(1.0, optimum)
+
+
+def test_hubtree_shared_decoder_matches_fresh_decoder_and_keeps_keys():
+    inst = instgen.tiny_hubtree(np.random.default_rng(42), n=9, p=3)
+    shared = HubTreeDecoder(inst)
+    rng = np.random.default_rng(43)
+    seen = []
+    keys = rng.random(inst.dimension)
+    for i in range(240):
+        if i % 4 == 1:  # one key of the vector before
+            keys = keys.copy()
+            keys[rng.integers(inst.dimension)] = rng.random()
+        elif i % 4 == 2:  # an exact repeat
+            keys = seen[rng.integers(len(seen))].copy()
+        elif i % 4 == 3:
+            keys = np.floor(rng.random(inst.dimension) * 4) / 4
+        else:
+            keys = rng.random(inst.dimension)
+        seen.append(keys)
+        before = keys.copy()
+        assert shared.decode(keys) == HubTreeDecoder(inst).decode(keys)
+        assert np.array_equal(keys, before)
+
+
+def test_hubtree_memos_stay_within_their_bound():
+    inst = instgen.tiny_hubtree(np.random.default_rng(44), n=12, p=4)
+    decoder = HubTreeDecoder(inst)
+    rng = np.random.default_rng(45)
+    pairs, artifacts = set(), set()
+    for _ in range(hubtree.MEMO_SIZE + 200):
+        _, artifact = decoder.decode(rng.random(inst.dimension))
+        pairs.add((artifact[0], artifact[2]))
+        artifacts.add(artifact)
+    assert min(len(pairs), len(artifacts)) > hubtree.MEMO_SIZE
+    assert 0 < len(decoder._paths) <= hubtree.MEMO_SIZE
+    assert 0 < len(decoder._fits) <= hubtree.MEMO_SIZE
+
+
+@pytest.mark.parametrize("n,p", [(6, 1), (5, 5)])
+def test_hubtree_one_hub_and_all_hubs_match_plain_recomputation(n, p):
+    inst = instgen.tiny_hubtree(np.random.default_rng(46), n=n, p=p)
+    decoder = HubTreeDecoder(inst)
+    rng = RngStream(47, 0)
+    for _ in range(20):
+        fit, (hubs, hub_of, tree) = decoder.decode(random_vector(inst.dimension, rng))
+        assert len(hubs) == p and len(tree) == p - 1
+        if p == n:
+            assert hub_of == tuple(range(n))
+        else:
+            assert set(hub_of) == set(hubs)
+        assert fit.objective == pytest.approx(_plain_cost_of(inst, hubs, hub_of, tree))
 
 
 def test_hubtree_roundtrip(tmp_path):
