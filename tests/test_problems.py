@@ -731,7 +731,7 @@ def test_hubtree_shared_decoder_matches_fresh_decoder_and_keeps_keys():
             keys[rng.integers(inst.dimension)] = rng.random()
         elif i % 4 == 2:  # an exact repeat
             keys = seen[rng.integers(len(seen))].copy()
-        elif i % 4 == 3:
+        elif i % 4 == 3:  # quarter-grid ties
             keys = np.floor(rng.random(inst.dimension) * 4) / 4
         else:
             keys = rng.random(inst.dimension)
