@@ -32,7 +32,13 @@ decoder object decodes in turn, on a generated instance with non-integer
 demands.  The stream repeats earlier vectors exactly and changes one key
 of the vector before, so that whatever a decoder keeps between calls is
 read back, and it includes quarter-grid ties and assignment keys of 0.0
-and KEY_MAX.
+and KEY_MAX.  `decode/partition-stream-b100-r15.txt` holds the partition
+decoder's objective and assignment for 300 key vectors that two decoders,
+one per instance (a roomy one and a capacity-tight one), decode in turn.
+Its stream is shaped like the searches' requests: exact repeats, one
+station key moved earlier or later, an ascending scan of one station key
+over the Farey intervals in one array changed in place, seed-count keys
+including 0.0 and KEY_MAX, two-key changes and quarter-grid ties.
 
 `tests/test_golden.py` compares a fresh set with the committed one.  After a
 change that is meant to alter behaviour, rewrite the files with
@@ -44,6 +50,7 @@ and say in the commit why they moved.
 
 import contextlib
 import io
+import itertools
 import os
 import shutil
 import sys
@@ -58,6 +65,7 @@ import instgen  # noqa: E402
 from keyopt.cli import main  # noqa: E402
 from keyopt.core import KEY_MAX  # noqa: E402
 from keyopt.harness import ExperimentConfig, run_experiment  # noqa: E402
+from keyopt.local_search import FAREY_GAPS  # noqa: E402
 from keyopt.problems import (  # noqa: E402
     HubTreeDecoder,
     HubTreeInstance,
@@ -95,6 +103,7 @@ NEAR_LIST_METHODS = ("brkga", "portfolio")
 DECODE_DIGEST = "decode/pmedian-n900-p200.txt"
 PARTITION_DIGEST = "decode/partition-b100-r15.txt"
 HUBTREE_DIGEST = "decode/hubtree-n100-p10.txt"
+PARTITION_STREAM_DIGEST = "decode/partition-stream-b100-r15.txt"
 
 
 def write_instances(directory=GOLDEN_DIR) -> None:
@@ -249,6 +258,62 @@ def write_hubtree_digest(path) -> None:
                      f" | {' '.join(f'{a}-{b}' for a, b in tree)}\n")
 
 
+def partition_request_stream(rng, b):
+    """Endless station-plus-seed key vectors of length b + 1, shaped like
+    the searches' decode requests.  One cycle: a fresh vector, an exact
+    repeat, one station key moved earlier and one moved later, an ascending
+    scan of one station key (one draw per Farey interval) that changes a
+    single array in place, the seed key at 0.0, KEY_MAX and a random value,
+    a two-key change, a quarter-grid vector and a repeat of an earlier
+    vector.  The scan yields the same array each time, so a decoder that
+    kept a reference to it would see it change."""
+    seen = []
+    while True:
+        keys = rng.random(b + 1)
+        yield keys
+        yield keys.copy()
+        for later in (False, True):
+            keys = keys.copy()
+            s = rng.integers(b)
+            keys[s] += rng.random() * (KEY_MAX - keys[s]) if later else -rng.random() * keys[s]
+            yield keys
+        seen.append(keys)
+        work = keys.copy()
+        s = rng.integers(b)
+        for lo, hi in FAREY_GAPS:
+            work[s] = min(rng.uniform(lo, hi), KEY_MAX)
+            yield work
+        for seed_key in (0.0, KEY_MAX, rng.random()):
+            keys = keys.copy()
+            keys[b] = seed_key
+            yield keys
+        keys = keys.copy()
+        keys[rng.choice(b, size=2, replace=False)] = rng.random(2)
+        yield keys
+        seen.append(keys)
+        grid = np.floor(rng.random(b + 1) * 4) / 4
+        grid[b] = keys[b]
+        yield grid
+        yield seen[rng.integers(len(seen))].copy()
+
+
+def write_partition_stream_digest(path) -> None:
+    """The partition decoder's objective and assignment for a request-shaped
+    stream of key vectors (`partition_request_stream`): 150 through one
+    decoder on a roomy instance and then 150 through one decoder on a
+    capacity-tight instance; one vector per line."""
+    b, r = 100, 15
+    rng = np.random.default_rng(20261022)
+    roomy = instgen.handover_partition(rng, b, r)
+    tight = instgen.handover_partition(rng, b, r, slack=1.02)
+    with open(path, "w") as fh:
+        for inst in (roomy, tight):
+            decoder = PartitionDecoder(inst)
+            for keys in itertools.islice(partition_request_stream(rng, b), 150):
+                fit, assignment = decoder.decode(keys)
+                fh.write(f"{fit.objective!r} {' '.join(map(str, assignment))}\n")
+
+
 def write_outputs(directory) -> None:
     """Every output file under `directory`, from the committed instances."""
     os.makedirs(os.path.join(directory, "solve"), exist_ok=True)
@@ -276,4 +341,5 @@ if __name__ == "__main__":
     write_decode_digest(os.path.join(GOLDEN_DIR, DECODE_DIGEST))
     write_partition_digest(os.path.join(GOLDEN_DIR, PARTITION_DIGEST))
     write_hubtree_digest(os.path.join(GOLDEN_DIR, HUBTREE_DIGEST))
-    print(f"wrote {len(output_names()) + 3} files under {GOLDEN_DIR}")
+    write_partition_stream_digest(os.path.join(GOLDEN_DIR, PARTITION_STREAM_DIGEST))
+    print(f"wrote {len(output_names()) + 4} files under {GOLDEN_DIR}")

@@ -36,3 +36,10 @@ def test_paper_size_hubtree_decode_digest_is_byte_identical(tmp_path):
     golden_cases.write_hubtree_digest(str(path))
     with open(os.path.join(golden_cases.GOLDEN_DIR, golden_cases.HUBTREE_DIGEST), "rb") as fh:
         assert path.read_bytes() == fh.read()
+
+
+def test_paper_size_partition_stream_digest_is_byte_identical(tmp_path):
+    path = tmp_path / "digest.txt"
+    golden_cases.write_partition_stream_digest(str(path))
+    with open(os.path.join(golden_cases.GOLDEN_DIR, golden_cases.PARTITION_STREAM_DIGEST), "rb") as fh:
+        assert path.read_bytes() == fh.read()
