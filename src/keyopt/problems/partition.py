@@ -46,8 +46,9 @@ class PartitionInstance:
             raise ValueError("controller capacities must be positive")
         # Decoder lookups: plain lists index faster than arrays element by
         # element.  Each station's neighbours are the stations it exchanges
-        # handovers with, paired with the mass in both directions; placing a
-        # station adds that mass to each neighbour's gain for its controller.
+        # handovers with, paired with the mass in both directions; a station
+        # being placed sums these masses per controller over its placed
+        # neighbours, in this order, to find its gains.
         both = h + h.T
         neighbours = []
         for row in both:
@@ -88,73 +89,139 @@ def cut_value(handovers, assignment) -> float:
 
 
 class PartitionDecoder(Decoder):
+    """Seeds controllers, then places the other stations greedily in key
+    order.
+
+    Searches ask for runs of vectors that differ in a key or two, so a call
+    resumes from the previous call's trajectory, which records per position
+    the controller chosen (-1: none), and `intra` and the loads after it.
+    A call replays the positions before the first change in the station
+    order; once it is past the last change and its state (each placed
+    station's controller, the loads, `intra`) equals the stored state, it
+    takes the rest of the previous trajectory and its result.  Either way
+    it returns what a fresh decoder returns.
+    """
+
     def __init__(self, instance: PartitionInstance):
         self.instance = instance
         self.dimension = instance.stations + 1
+        self._last = None
 
     def decode(self, keys: np.ndarray) -> tuple[Fitness, tuple]:
         inst = self.instance
         b, r = inst.stations, inst.controllers
-        order = keys[:b].argsort(kind="stable").tolist()
+        order_keys = keys[:b].argsort(kind="stable")  # a new array, never `keys`
+        order = order_keys.tolist()
         seeds = min(r, max(1, math.ceil(keys[b] * r)))
 
         assignment = [-1] * b
         load = [0.0] * r
+        intra = 0.0
         traffic = inst._traffic_list
         capacity = inst._capacity_list
         neighbours = inst._neighbours
-        # gain[s][c]: handover mass, both ways, between station s and the
-        # stations placed on controller c so far.
-        gain = [[0.0] * r for _ in range(b)]
-
-        # Seed phase: one station per controller in index order, skipping
-        # controllers that cannot hold their station.  A seed is the first
-        # station on its controller, so it gains nothing.
-        next_controller = 0
-        placed = 0
+        ctrls, intras, loads = [], [], []
         pos = 0
-        while placed < seeds and pos < b:
-            station = order[pos]
-            target = None
-            for ctrl in range(next_controller, r):
-                if load[ctrl] + traffic[station] <= capacity[ctrl]:
-                    target = ctrl
-                    break
-            if target is None:
-                break
-            assignment[station] = target
-            load[target] += traffic[station]
-            for other, mass in neighbours[station]:
-                gain[other][target] += mass
-            next_controller = target + 1
-            placed += 1
-            pos += 1
+        seed_end = None
+        # `same`: every station placed so far sits where the last decode put
+        # it.  Once the station at position `splice_from` or later is placed,
+        # the rest of the order is the last decode's, which it placed greedily.
+        last = self._last
+        same = last is not None
+        if same:
+            (last_order, last_seeds, last_seed_end, last_ctrls, last_intras, last_loads,
+             last_assignment, last_result) = last
+            changed = np.flatnonzero(order_keys != last_order)
+            if seeds == last_seeds:
+                if not len(changed):
+                    return last_result
+                pos = int(changed[0])
+                # The seed phase is the same if it ended before the first
+                # change, or at it because it had placed its count.
+                if pos > last_seed_end or pos == last_seed_end == seeds:
+                    seed_end = last_seed_end
+                    ctrls, intras, loads = last_ctrls[:pos], last_intras[:pos], last_loads[:pos]
+                    for station, ctrl in zip(order, ctrls):
+                        assignment[station] = ctrl
+                    load, intra = list(loads[-1]), intras[-1]
+                else:
+                    pos = 0
+            splice_from = max(int(changed[-1]) if len(changed) else 0, last_seed_end - 1)
 
-        # Greedy phase: best handover gain among feasible controllers, ties
-        # to the lowest controller index.  The chosen gains add up to the
+        if seed_end is None:
+            # Seed phase: one station per controller in index order, skipping
+            # controllers that cannot hold their station.
+            next_controller = 0
+            while pos < seeds and pos < b:
+                station = order[pos]
+                target = None
+                for ctrl in range(next_controller, r):
+                    if load[ctrl] + traffic[station] <= capacity[ctrl]:
+                        target = ctrl
+                        break
+                if target is None:
+                    break
+                assignment[station] = target
+                load[target] += traffic[station]
+                ctrls.append(target)
+                intras.append(0.0)
+                loads.append(tuple(load))
+                same = same and target == last_assignment[station]
+                next_controller = target + 1
+                pos += 1
+            seed_end = pos
+
+        # Greedy phase: each station sums its handovers, both ways, with the
+        # placed stations per controller and takes the best gain among
+        # feasible controllers, ties to the lowest index; with no gain, the
+        # lowest feasible controller.  The chosen gains add up to the
         # handover mass inside controllers.
-        intra = 0.0
-        for station in order[pos:]:
+        for pos in range(pos, b):
+            station = order[pos]
             t = traffic[station]
+            gains = {}
+            for other, mass in neighbours[station]:
+                ctrl = assignment[other]
+                if ctrl >= 0:
+                    gains[ctrl] = gains.get(ctrl, 0.0) + mass
             best_ctrl = -1
-            best_gain = -1.0
-            for ctrl, g in enumerate(gain[station]):
-                if g > best_gain and load[ctrl] + t <= capacity[ctrl]:
+            best_gain = 0.0
+            for ctrl, g in gains.items():
+                if (g > best_gain or g == best_gain and ctrl < best_ctrl) \
+                        and load[ctrl] + t <= capacity[ctrl]:
                     best_gain = g
                     best_ctrl = ctrl
+            if best_ctrl < 0:
+                for ctrl in range(r):
+                    if load[ctrl] + t <= capacity[ctrl]:
+                        best_ctrl = ctrl
+                        break
             if best_ctrl >= 0:
                 assignment[station] = best_ctrl
                 load[best_ctrl] += t
                 intra += best_gain
-                for other, mass in neighbours[station]:
-                    gain[other][best_ctrl] += mass
+            state = tuple(load)
+            ctrls.append(best_ctrl)
+            intras.append(intra)
+            loads.append(state)
+            if same:
+                if best_ctrl != last_assignment[station]:
+                    same = False
+                elif pos >= splice_from and intra == last_intras[pos] and state == last_loads[pos]:
+                    pos += 1
+                    self._last = (order_keys, seeds, seed_end, ctrls + last_ctrls[pos:],
+                                  intras + last_intras[pos:], loads + last_loads[pos:],
+                                  last_assignment, last_result)
+                    return last_result
 
         unassigned = assignment.count(-1)
         # Cut = all handovers minus the intra-controller ones; unassigned
         # stations have no controller, so their traffic all counts as cut.
         cut = max(0.0, inst.penalty_unit - intra)
         penalty = unassigned * inst.penalty_unit
-        return Fitness.of(cut, penalty), tuple(assignment)
+        result = Fitness.of(cut, penalty), tuple(assignment)
+        self._last = (order_keys, seeds, seed_end, ctrls, intras, loads, assignment, result)
+        return result
 
 
 def parse_partition(path) -> PartitionInstance:

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import golden_cases
 import instgen
 from keyopt.problems import hubtree, pmedian
 from keyopt.core import KEY_MAX, ParseError, RngStream, SizeGuardError, random_vector
@@ -23,6 +25,7 @@ from keyopt.problems import (
     brute_force_pmedian,
     brute_force_setcover,
     brute_force_tsp,
+    cut_value,
     load_instance,
     parse_hubtree,
     parse_orlib_pmed,
@@ -639,6 +642,106 @@ def test_partition_full_controller_is_skipped_despite_higher_gain():
     fit, assignment = PartitionDecoder(inst).decode(TIE_KEYS)
     assert assignment == (0, 1, 2, 2)
     assert fit.objective == 9.0
+
+
+def _sharing_cases():
+    rng = np.random.default_rng(47)
+    return {
+        "roomy": instgen.handover_partition(rng, b=100, r=15),
+        "tight": instgen.handover_partition(rng, b=100, r=15, slack=1.02),
+        "b8": instgen.tiny_partition(rng, b=8, r=3, slack=(1.0, 1.1)),
+        "r1": instgen.tiny_partition(rng, b=6, r=1, slack=(3.0, 4.0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["roomy", "tight", "b8", "r1"])
+def test_partition_shared_decoder_matches_fresh_decoder_and_keeps_keys(case):
+    inst = _sharing_cases()[case]
+    shared = PartitionDecoder(inst)
+    stream = golden_cases.partition_request_stream(np.random.default_rng(48), inst.stations)
+    for keys in itertools.islice(stream, 150):
+        before = keys.copy()
+        assert shared.decode(keys) == PartitionDecoder(inst).decode(keys)
+        assert np.array_equal(keys, before)
+
+
+def test_partition_seed_phase_cut_short_is_not_replayed():
+    # Station 1 fits no controller, so the seed phase of the first vector
+    # ends at position 1 with one of three seeds placed.  The second vector
+    # differs first at that position, where station 2 can still seed.
+    inst = PartitionInstance(traffic=[1.0, 5.0, 1.0, 1.0], capacity=[4.0, 4.0, 4.0],
+                             handovers=[[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
+    shared = PartitionDecoder(inst)
+    _, assignment = shared.decode(np.array([0.1, 0.2, 0.3, 0.4, KEY_MAX]))
+    assert assignment == (0, -1, 0, 0)
+    keys = np.array([0.1, 0.3, 0.2, 0.4, KEY_MAX])
+    fit, assignment = shared.decode(keys)
+    assert assignment == (0, -1, 1, 0)
+    assert (fit, assignment) == PartitionDecoder(inst).decode(keys)
+
+
+def _splice_case(traffic, capacity, pairs):
+    h = np.zeros((4, 4))
+    for (i, j), value in pairs.items():
+        h[i, j] = value
+    return PartitionInstance(traffic=traffic, capacity=capacity, handovers=h)
+
+
+# (instance, first keys, second keys, the second's assignment).  In each,
+# the second decode reaches a state that matches the first's in all but
+# one respect, which changes where a later station goes.
+SPLICE_CASES = {
+    # Stations 0, 1 and 2 share controller 0 in both orders, but its load
+    # is 0.6000000000000001 after the first and 0.6 after the second, so
+    # only the second leaves room for station 3.
+    "loads-differ-by-rounding": (
+        _splice_case([0.1, 0.1, 0.4, 0.1], [0.7], {(3, 0): 1.0}),
+        [0.1, 0.2, 0.3, 0.4, 0.5], [0.35, 0.1, 0.2, 0.4, 0.5], (0, 0, 0, 0)),
+    # The two seeds swap controllers; the loads stay equal, but station 3
+    # follows station 0.
+    "seeds-swapped": (
+        _splice_case([1.0] * 4, [10.0, 10.0], {(3, 0): 5.0}),
+        [0.1, 0.2, 0.3, 0.4, KEY_MAX], [0.2, 0.1, 0.3, 0.4, KEY_MAX], (1, 0, 0, 1)),
+    # With one seed instead of three, station 1 goes greedily where the
+    # first decode seeded it, but station 2 was still a seed there.
+    "seed-phase-still-running": (
+        _splice_case([1.0] * 4, [1.0, 10.0, 10.0], {}),
+        [0.1, 0.2, 0.3, 0.4, KEY_MAX], [0.1, 0.2, 0.3, 0.4, 0.0], (0, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(SPLICE_CASES))
+def test_partition_splice_needs_the_whole_state_to_match(case):
+    inst, first, second, expected = SPLICE_CASES[case]
+    shared = PartitionDecoder(inst)
+    shared.decode(np.array(first))
+    fit, assignment = shared.decode(np.array(second))
+    assert assignment == expected
+    assert (fit, assignment) == PartitionDecoder(inst).decode(np.array(second))
+
+
+def test_partition_decoder_does_not_hold_on_to_the_keys():
+    inst = instgen.handover_partition(np.random.default_rng(49), b=30, r=4)
+    shared = PartitionDecoder(inst)
+    keys = np.random.default_rng(50).random(31)
+    first = shared.decode(keys)
+    keys[:30] = KEY_MAX - keys[:30]  # the station order reversed, in place
+    second = shared.decode(keys)
+    assert second == PartitionDecoder(inst).decode(keys)
+    assert second != first
+
+
+def test_partition_shared_decoder_on_real_valued_handovers():
+    rng = np.random.default_rng(51)
+    base = instgen.handover_partition(rng, b=60, r=8, slack=1.05)
+    inst = PartitionInstance(traffic=base.traffic * rng.random(60) + 0.5, capacity=base.capacity,
+                             handovers=base.handovers * rng.random((60, 60)))
+    shared = PartitionDecoder(inst)
+    for keys in itertools.islice(golden_cases.partition_request_stream(rng, 60), 150):
+        fit, assignment = shared.decode(keys)
+        assert (fit, assignment) == PartitionDecoder(inst).decode(keys)
+        expected = cut_value(inst.handovers, assignment) + assignment.count(-1) * inst.penalty_unit
+        assert fit.objective == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------- hub tree
